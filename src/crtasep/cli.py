@@ -34,6 +34,14 @@ def _word(text: str) -> Word:
     return Word.from_string(text)
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type: "p/q" text; anything else is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crtasep",
@@ -60,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("prob", "stationary probability of a state")
     p.add_argument("word", type=str)
-    p.add_argument("--at-t", type=str, default=None, metavar="T0", help="evaluate at rational t")
+    p.add_argument("--at-t", type=_rational, default=None, metavar="T0", help="evaluate at rational t")
 
     p = add("partition", "partition function for the given species counts")
     p.add_argument("k", type=int)
@@ -81,12 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--numeric",
         nargs=2,
+        type=_rational,
         metavar=("Q0", "T0"),
         default=None,
         help="evaluate the truncated trace at rational q, t",
     )
     p.add_argument("--trunc", type=int, default=None, metavar="N", help="exact trace of the N-truncation")
-    p.add_argument("--x", nargs="+", default=None, metavar="XI", help="rational x values (default all 1)")
+    p.add_argument("--x", nargs="+", type=_rational, default=None, metavar="XI", help="rational x values (default all 1)")
 
     p = add("verify", "run a cross-oracle invariant suite")
     p.add_argument("suite", choices=SUITES + ("all",))
@@ -152,7 +161,7 @@ def _dispatch(args) -> int:
         mu = _word(args.word)
         value = stationary_prob(mu)
         if args.at_t is not None:
-            print(Fraction(value.evaluate(1, Fraction(args.at_t))))
+            print(Fraction(value.evaluate(1, args.at_t)))
         else:
             _emit_ratfunc(value, args.json)
         return 0
@@ -187,9 +196,8 @@ def _dispatch(args) -> int:
         if args.numeric is None:
             _emit_expr(trace_by_recurrence(mu), args.json, mu.n)
             return 0
-        q0, t0 = (Fraction(v) for v in args.numeric)
-        xs = [Fraction(v) for v in args.x] if args.x else None
-        value = truncated_trace(mu, q0, t0, xs, size=args.trunc)
+        q0, t0 = args.numeric
+        value = truncated_trace(mu, q0, t0, args.x, size=args.trunc)
         print(value if args.trunc is not None else repr(value))
         return 0
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import AbstractSet, Iterator, Sequence
 
 from .errors import NotAPartition
 
@@ -283,23 +283,27 @@ class PartialPerm:
         return self.cols[self.values.index(value)]
 
 
-def row_reading(tableau: Tableau, i: int, ordering: ArrowOrdering) -> PartialPerm:
-    """Reading of the row with bottom-to-top index i under an ordering."""
-    diagram = tableau.diagram
-    d = diagram.row_label(i)
-    order = ordering.row_order(i)
+def reading_of(diagram: Diagram, d: int, order: Sequence[int], below: AbstractSet[int]) -> PartialPerm:
+    """Reading of the row labeled d whose arrows sit in the columns
+    ``order`` (in label order), when the columns ``below`` hold an arrow
+    in a lower row.  This is all a reading depends on."""
     entries: list[tuple[int, int | None]] = [(d, 0)]
     for c in diagram.rhombic_cols:
         entries.append((c, None))
     for c in diagram.square_cols:
-        arrow = tableau.arrow_row(c)
-        if arrow == i:
+        if c in order:
             entries.append((c, order.index(c) + 1))
-        elif arrow is None or arrow > i:
+        elif c not in below:
             entries.append((c, None))  # free tile
         # else: non-free empty tile, omitted
     entries.sort()
     return PartialPerm(tuple(v for _, v in entries), tuple(c for c, _ in entries))
+
+
+def row_reading(tableau: Tableau, i: int, ordering: ArrowOrdering) -> PartialPerm:
+    """Reading of the row with bottom-to-top index i under an ordering."""
+    below = {c for c, j in tableau.arrows if j < i}
+    return reading_of(tableau.diagram, tableau.diagram.row_label(i), ordering.row_order(i), below)
 
 
 def disorder(p: PartialPerm) -> int:

@@ -109,6 +109,8 @@ def truncated_trace(
     truncation from ``start`` until two successive values agree within
     ``rel_tol`` relative and returns a float.
     """
+    if size is not None and size < 1:
+        raise ValueError(f"truncation size must be at least 1, got {size}")
     q0, t0 = Fraction(q0), Fraction(t0)
     xs = tuple(Fraction(v) for v in xs) if xs is not None else (Fraction(1),) * mu.n
     if len(xs) != mu.n:

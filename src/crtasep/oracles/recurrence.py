@@ -7,6 +7,10 @@ factorial ratio [r+l-|I|]!/[r+l]! times x_I^2 x_d / x_{last deleted} times
 t^dis q^rec of the order (0 inserted at the rank of d), times the trace of
 the word with I and d removed, labels kept.  Restriction never removes a
 1, so the base-case scalar (1 - q t^r) is constant along the recursion.
+
+The recurrence is written once, over a coefficient ``Ring`` from
+``weights``: ``SYMBOLIC`` gives the trace in Q(q,t)[x], memoised across
+calls; ``point_ring`` gives its exact value at one point.
 """
 
 from __future__ import annotations
@@ -14,11 +18,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from ..algebra.poly import MultiPoly
 from ..algebra.qtx import QtxExpr
-from ..algebra.ratfunc import RatFunc, qt_factorial_ratio
 from ..combinatorics import Word, disorder, partial_perms, recoils
-from ..weights import omega
+from ..weights import SYMBOLIC, Ring, omega, point_ring
 
 Labeled = tuple[tuple[int, int], ...]  # ((label, letter), ...)
 
@@ -45,98 +47,51 @@ def trace_by_recurrence(mu: Word, d_strategy: str = "max") -> QtxExpr:
     hole may be peeled (``d_strategy`` picks which), and the answer is
     independent of the choice.
     """
-    return _trace_symbolic(_label(mu), d_strategy)
+    return _trace(_label(mu), d_strategy, SYMBOLIC, _SYMBOLIC_CACHE)
 
 
-def _trace_symbolic(labeled: Labeled, strategy: str) -> QtxExpr:
+def trace_rec_eval(mu: Word, q0, t0, xs, d_strategy: str = "max") -> Fraction:
+    """The same recurrence evaluated at exact rationals."""
+    return _trace(_label(mu), d_strategy, point_ring(q0, t0, xs, mu.n), {})
+
+
+def _trace(labeled: Labeled, strategy: str, ring: Ring, cache: dict):
     key = (labeled, strategy)
-    cached = _SYMBOLIC_CACHE.get(key)
+    cached = cache.get(key)
     if cached is not None:
         return cached
 
     n_top = max((lab for lab, _ in labeled), default=1)
     ea = [lab for lab, a in labeled if a != 0]
     if len(ea) == len(labeled):  # no holes: closed form
-        r = sum(1 for _, a in labeled if a == 1)
         exps = [0] * n_top
         for lab, a in labeled:
             exps[lab - 1] = a  # x once per 1, squared per 2
-        den = MultiPoly.one() - MultiPoly.q() * MultiPoly.t(r)
-        result = QtxExpr.x_monomial(exps, RatFunc(MultiPoly.one(), den))
-        _SYMBOLIC_CACHE[key] = result
+        result = ring.base(exps, sum(1 for _, a in labeled if a == 1))
+        cache[key] = result
         return result
 
     d = _pick_d(labeled, strategy)
     ee = [lab for lab, a in labeled if a == 2]
     rl = len(ea)
-    total = QtxExpr.zero()
+    total = 0
     for s in range(0, len(ee) + 1):
-        ratio = qt_factorial_ratio(rl - s, rl)
+        ratio = ring.ratio(rl - s, rl)
         for subset in itertools.combinations(ee, s):
             removed = set(subset) | {d}
             sub = tuple(entry for entry in labeled if entry[0] not in removed)
-            subtrace = _trace_symbolic(sub, strategy)
-            acc = MultiPoly.zero()
+            subtrace = _trace(sub, strategy, ring, cache)
+            acc = 0
             for perm in partial_perms(subset, ea, d):
                 exps = [0] * n_top
                 for c in subset:
                     exps[c - 1] += 2
                 exps[d - 1] += 1
                 exps[perm.col_of(s) - 1] -= 1  # the last deleted position (d itself when s=0)
-                acc = acc + MultiPoly.monomial(recoils(perm), disorder(perm), exps)
-            total = total + QtxExpr.from_multipoly(acc) * subtrace * ratio
-    _SYMBOLIC_CACHE[key] = total
+                acc = acc + ring.term(recoils(perm), disorder(perm), exps)
+            total = total + subtrace * acc * ratio
+    cache[key] = total
     return total
-
-
-def trace_rec_eval(mu: Word, q0, t0, xs, d_strategy: str = "max") -> Fraction:
-    """The same recurrence evaluated at exact rationals."""
-    q0, t0 = Fraction(q0), Fraction(t0)
-    xs = tuple(Fraction(v) for v in xs)
-    if len(xs) != mu.n:
-        raise ValueError(f"need {mu.n} x-values")
-    cache: dict[Labeled, Fraction] = {}
-
-    def bracket(i: int) -> Fraction:
-        return (1 - q0 * t0**i) / (1 - t0)
-
-    def rec(labeled: Labeled) -> Fraction:
-        cached = cache.get(labeled)
-        if cached is not None:
-            return cached
-        ea = [lab for lab, a in labeled if a != 0]
-        if len(ea) == len(labeled):
-            r = sum(1 for _, a in labeled if a == 1)
-            v = Fraction(1)
-            for lab, a in labeled:
-                v *= xs[lab - 1] ** a
-            result = v / (1 - q0 * t0**r)
-            cache[labeled] = result
-            return result
-        d = _pick_d(labeled, d_strategy)
-        ee = [lab for lab, a in labeled if a == 2]
-        rl = len(ea)
-        total = Fraction(0)
-        for s in range(0, len(ee) + 1):
-            ratio = Fraction(1)
-            for j in range(rl - s + 1, rl + 1):
-                ratio /= bracket(j)
-            for subset in itertools.combinations(ee, s):
-                removed = set(subset) | {d}
-                sub = tuple(entry for entry in labeled if entry[0] not in removed)
-                subtrace = rec(sub)
-                sigma_sum = Fraction(0)
-                for perm in partial_perms(subset, ea, d):
-                    v = q0 ** recoils(perm) * t0 ** disorder(perm)
-                    for c in subset:
-                        v *= xs[c - 1] ** 2
-                    v *= xs[d - 1] / xs[perm.col_of(s) - 1]
-                    sigma_sum += v
-                total += ratio * subtrace * sigma_sum
-        cache[labeled] = total
-        return total
-
-    return rec(_label(mu))
 
 
 def f_mu(mu: Word) -> QtxExpr:

@@ -4,8 +4,10 @@ Every suite expands into a deterministic list of instances (random points
 are drawn up front from the seed and embedded in the instance), each
 instance is checked by a pure function, and the results are assembled in
 instance order into a JSON-ready report.  The worker count is taken from
-the CRTASEP_WORKERS environment variable; above 1 the instances are fanned
-out to a process pool.
+the CRTASEP_WORKERS environment variable, clamped to the CPU count and the
+number of instances; above 1 the instances are fanned out to a process
+pool.  An instance whose check raises is reported as failed with the
+exception, and the others still run.
 """
 
 from __future__ import annotations
@@ -316,7 +318,10 @@ _SUITE_FUNCS = {
 
 def _check_one(task):
     suite, instance = task
-    return _SUITE_FUNCS[suite][1](instance)
+    try:
+        return _SUITE_FUNCS[suite][1](instance)
+    except Exception as exc:  # an instance that raises is that instance's failure
+        return {"instance": list(instance), "error": f"{type(exc).__name__}: {exc}"}
 
 
 def worker_count() -> int:
@@ -339,7 +344,8 @@ def run_suite(suite: str, bound_n: int, seed: int, workers: int | None = None) -
         for instance in _SUITE_FUNCS[name][0](bound_n, seed):
             tasks.append((name, instance))
     workers = worker_count() if workers is None else max(1, workers)
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:

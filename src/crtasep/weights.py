@@ -2,10 +2,18 @@
 Tab_t, Tab_qtx, the partition function and stationary law, and the
 Macdonald polynomials E and P for partitions with parts at most 2.
 
-Arrow orderings in different rows never interact, so every sum over
-orderings factorises into per-row sums; the per-tableau scalar
-[r+l-arr]!/[r+l]! depends only on the arrow count, so tableaux are
-accumulated per arrow count and each factorial ratio is applied once.
+Every tableau sum is one bottom-to-top DP over rows.  A row's reading
+depends only on its label, its arrow columns in label order, and the set U
+of square columns whose arrow sits in a lower row, so the state after each
+row is a map U -> accumulated value.  Row i moves U to U | S for each set S
+of unused square columns, times the sum over the orders of S of one
+ordering's value.  At the end |U| is the arrow count, and each arrow count
+is multiplied once by its factorial ratio [r+l-a]!/[r+l]!.
+
+The values live in a small coefficient ``Ring``: ``SYMBOLIC`` (q,t,x
+monomials, giving Tab_qtx), ``T_ONLY`` (t-monomials, giving Tab_t) and
+``point_ring`` (exact rationals at one point).  The trace recurrence in
+``oracles.recurrence`` uses the same rings.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .algebra.poly import MultiPoly
 from .algebra.qtx import QtxExpr, qtx_sum
@@ -24,11 +33,13 @@ from .algebra.ratfunc import (
 )
 from .combinatorics import (
     ArrowOrdering,
+    Diagram,
     Tableau,
     Word,
+    build_diagram,
     disorder,
     enumerate_states,
-    enumerate_tableaux,
+    reading_of,
     recoils,
     row_reading,
 )
@@ -36,14 +47,111 @@ from .combinatorics import (
 _ONE = Fraction(1)
 
 
-def _x_monomial(cols, n: int, extra: dict[int, int] | None = None) -> MultiPoly:
-    exps = [0] * n
-    for c in cols:
-        exps[c - 1] += 1
-    if extra:
-        for c, e in extra.items():
-            exps[c - 1] += e
-    return MultiPoly.monomial(0, 0, exps)
+class Ring(NamedTuple):
+    """The coefficient ring of a tableau or trace sum.  Values of ``term``
+    are added and multiplied by each other; ``ratio`` and ``base`` values
+    multiply them into the ring of the answer."""
+
+    term: Callable  # (rec, dis, x_exponents) -> q^rec t^dis x^x_exponents
+    ratio: Callable  # (a, b) -> [a]!/[b]!
+    base: Callable | None  # (x_exponents, r) -> x^x_exponents / (1 - q t^r)
+
+
+def _qtx_ratio(a: int, b: int) -> QtxExpr:
+    return QtxExpr.from_ratfunc(qt_factorial_ratio(a, b))
+
+
+def _qtx_base(exps, r: int) -> QtxExpr:
+    return QtxExpr.x_monomial(exps, RatFunc(MultiPoly.one(), MultiPoly.one() - MultiPoly.q() * MultiPoly.t(r)))
+
+
+SYMBOLIC = Ring(MultiPoly.monomial, _qtx_ratio, _qtx_base)
+T_ONLY = Ring(lambda rec, dis, exps: MultiPoly.monomial(0, dis, ()), t_factorial_ratio, None)
+
+
+def point_ring(q0, t0, xs, n: int) -> Ring:
+    """The values at q = q0, t = t0 and the n values x = xs, as exact
+    rationals."""
+    q0, t0 = Fraction(q0), Fraction(t0)
+    xs = tuple(Fraction(v) for v in xs)
+    if len(xs) != n:
+        raise ValueError(f"need {n} x-values")
+    ratios: dict[tuple[int, int], Fraction] = {}
+
+    def term(rec: int, dis: int, exps) -> Fraction:
+        v = q0**rec * t0**dis
+        for x, e in zip(xs, exps):
+            if e:
+                v *= x**e
+        return v
+
+    def ratio(a: int, b: int) -> Fraction:
+        if (a, b) not in ratios:
+            v = _ONE
+            for j in range(a + 1, b + 1):
+                v /= (1 - q0 * t0**j) / (1 - t0)
+            ratios[a, b] = v
+        return ratios[a, b]
+
+    def base(exps, r: int) -> Fraction:
+        return term(0, 0, exps) / (1 - q0 * t0**r)
+
+    return Ring(term, ratio, base)
+
+
+def _fixed_exps(diagram: Diagram, used) -> list[int]:
+    """x_i for each particle position, and once more for each square
+    column without an arrow (not in ``used``)."""
+    exps = [1 if a else 0 for a in diagram.word.letters]
+    for c in diagram.square_cols:
+        if c not in used:
+            exps[c - 1] += 1
+    return exps
+
+
+def _row_factor(diagram: Diagram, d: int, cols, below, term):
+    """Sum over the label orders of the arrows in ``cols`` of one row
+    labeled d: q^rec t^dis x_d x_{every arrow but the last labeled}."""
+    total = 0
+    for perm in itertools.permutations(cols):
+        reading = reading_of(diagram, d, perm, below)
+        exps = [0] * diagram.word.n
+        exps[d - 1] = 1
+        for c in perm[:-1]:
+            exps[c - 1] += 1
+        total = total + term(recoils(reading), disorder(reading), exps)
+    return total
+
+
+def _tableau_sum(diagram: Diagram, ring: Ring, tableau: Tableau | None = None):
+    """The sum of weights over every tableau of the diagram (over the one
+    ``tableau`` when given), in the ring: the row-subset DP."""
+    mu = diagram.word
+    states = {frozenset(): 1}
+    for i in range(1, diagram.k + 1):
+        d = diagram.row_label(i)
+        after: dict[frozenset, object] = {}
+        for used, value in states.items():
+            if tableau is not None:
+                choices = [tableau.row_arrow_cols(i)]
+            else:
+                free = [c for c in diagram.square_cols if c not in used]
+                choices = itertools.chain.from_iterable(
+                    itertools.combinations(free, size) for size in range(len(free) + 1)
+                )
+            for cols in choices:
+                # a row without arrows reads no labels: its factor is 1
+                v = value * _row_factor(diagram, d, cols, used, ring.term) if cols else value
+                key = used.union(cols)
+                after[key] = after[key] + v if key in after else v
+        states = after
+    by_arr: dict[int, object] = {}
+    for used, value in states.items():
+        v = value * ring.term(0, 0, _fixed_exps(diagram, used))
+        a = len(used)
+        by_arr[a] = by_arr[a] + v if a in by_arr else v
+    rl = mu.r + mu.l
+    return sum(ring.ratio(rl - a, rl) * body for a, body in sorted(by_arr.items()))
 
 
 def wt_x(tableau: Tableau, ordering: ArrowOrdering) -> QtxExpr:
@@ -51,29 +159,15 @@ def wt_x(tableau: Tableau, ordering: ArrowOrdering) -> QtxExpr:
     row-maximal arrow, x_{column label} for every other arrow and for each
     arrowless square column, times x_i over all particle positions."""
     diagram = tableau.diagram
-    mu = diagram.word
-    counts: dict[int, int] = {}
-    for c in mu.ea():
-        counts[c] = counts.get(c, 0) + 1
-    for c in diagram.square_cols:
-        if tableau.arrow_row(c) is None:
-            counts[c] = counts.get(c, 0) + 1
+    exps = _fixed_exps(diagram, {c for c, _ in tableau.arrows})
     for i in range(1, diagram.k + 1):
         order = ordering.row_order(i)
         if not order:
             continue
-        label = diagram.row_label(i)
-        counts[label] = counts.get(label, 0) + 1  # the row-maximal arrow
+        exps[diagram.row_label(i) - 1] += 1  # the row-maximal arrow
         for c in order[:-1]:
-            counts[c] = counts.get(c, 0) + 1
-    return QtxExpr.x_monomial(_exps_from_counts(counts, mu.n))
-
-
-def _exps_from_counts(counts: dict[int, int], n: int) -> tuple[int, ...]:
-    exps = [0] * n
-    for c, e in counts.items():
-        exps[c - 1] = e
-    return tuple(exps)
+            exps[c - 1] += 1
+    return QtxExpr.x_monomial(exps)
 
 
 def wt_qtx_ordered(tableau: Tableau, ordering: ArrowOrdering) -> QtxExpr:
@@ -87,130 +181,30 @@ def wt_qtx_ordered(tableau: Tableau, ordering: ArrowOrdering) -> QtxExpr:
     return QtxExpr.from_multipoly(MultiPoly.monomial(rec, dis, ())) * wt_x(tableau, ordering)
 
 
-def _row_sum(tableau: Tableau, i: int, with_x: bool) -> MultiPoly:
-    """Sum over the row's label orderings of q^rec t^dis (times the arrow
-    x-weights when with_x)."""
-    diagram = tableau.diagram
-    cols = tuple(sorted(tableau.row_arrow_cols(i)))
-    n = diagram.word.n
-    total = MultiPoly.zero()
-    for perm in itertools.permutations(cols):
-        ordering = ArrowOrdering(((i, perm),))
-        reading = row_reading(tableau, i, ordering)
-        dis = disorder(reading)
-        rec = recoils(reading)
-        if with_x:
-            counts = {diagram.row_label(i): 1} if perm else {}
-            for c in perm[:-1]:
-                counts[c] = counts.get(c, 0) + 1
-            mono = _exps_from_counts(counts, n) if perm else ()
-            total = total + MultiPoly.monomial(rec, dis, mono)
-        else:
-            total = total + MultiPoly.monomial(0, dis, ())  # q dropped in the t-weight
-    return total
-
-
 def wt_qtx(tableau: Tableau) -> QtxExpr:
     """The qtx-weight: the factorial ratio times the ordering sum."""
-    diagram = tableau.diagram
-    mu = diagram.word
-    body = MultiPoly.one()
-    for i in range(1, diagram.k + 1):
-        body = body * _row_sum(tableau, i, with_x=True)
-    fixed = _x_monomial(mu.ea(), mu.n, extra={c: 1 for c in diagram.square_cols if tableau.arrow_row(c) is None})
-    scalar = qt_factorial_ratio(mu.r + mu.l - tableau.arr, mu.r + mu.l)
-    return QtxExpr.from_multipoly(body * fixed) * scalar
+    return _tableau_sum(tableau.diagram, SYMBOLIC, tableau)
 
 
 def wt_t(tableau: Tableau) -> RatFunc:
     """The t-weight: q and x dropped."""
-    mu = tableau.diagram.word
-    body = MultiPoly.one()
-    for i in range(1, tableau.diagram.k + 1):
-        body = body * _row_sum(tableau, i, with_x=False)
-    return t_factorial_ratio(mu.r + mu.l - tableau.arr, mu.r + mu.l) * RatFunc(body)
+    return _tableau_sum(tableau.diagram, T_ONLY, tableau)
 
 
 def tab_qtx(mu: Word) -> QtxExpr:
     """Sum of qtx-weights over all tableaux of type mu."""
-    by_arr: dict[int, MultiPoly] = {}
-    for tableau in enumerate_tableaux(mu):
-        body = MultiPoly.one()
-        for i in range(1, tableau.diagram.k + 1):
-            body = body * _row_sum(tableau, i, with_x=True)
-        arrowless = {c: 1 for c in tableau.diagram.square_cols if tableau.arrow_row(c) is None}
-        body = body * _x_monomial((), mu.n, extra=arrowless)
-        by_arr[tableau.arr] = by_arr.get(tableau.arr, MultiPoly.zero()) + body
-    ea_mono = _x_monomial(mu.ea(), mu.n)
-    total = QtxExpr.zero()
-    for a, body in sorted(by_arr.items()):
-        scalar = qt_factorial_ratio(mu.r + mu.l - a, mu.r + mu.l)
-        total = total + QtxExpr.from_multipoly(body * ea_mono) * scalar
-    return total
+    return _tableau_sum(build_diagram(mu), SYMBOLIC)
 
 
 def tab_t(mu: Word) -> RatFunc:
     """Sum of t-weights over all tableaux; computed directly with
     t-brackets (the q = 1, x = 1 specialization of tab_qtx is a test)."""
-    by_arr: dict[int, MultiPoly] = {}
-    for tableau in enumerate_tableaux(mu):
-        body = MultiPoly.one()
-        for i in range(1, tableau.diagram.k + 1):
-            body = body * _row_sum(tableau, i, with_x=False)
-        by_arr[tableau.arr] = by_arr.get(tableau.arr, MultiPoly.zero()) + body
-    total = RatFunc.zero()
-    for a, body in sorted(by_arr.items()):
-        total = total + t_factorial_ratio(mu.r + mu.l - a, mu.r + mu.l) * RatFunc(body)
-    return total
-
-
-# -- exact numeric twins (used by the large cross-oracle sweeps) -----------
-
-
-def _row_sum_eval(tableau: Tableau, i: int, q0, t0, xs) -> Fraction:
-    diagram = tableau.diagram
-    cols = tuple(sorted(tableau.row_arrow_cols(i)))
-    total = Fraction(0)
-    for perm in itertools.permutations(cols):
-        ordering = ArrowOrdering(((i, perm),))
-        reading = row_reading(tableau, i, ordering)
-        v = q0 ** recoils(reading) * t0 ** disorder(reading)
-        if perm:
-            v *= xs[diagram.row_label(i) - 1]
-            for c in perm[:-1]:
-                v *= xs[c - 1]
-        total += v
-    return total
+    return _tableau_sum(build_diagram(mu), T_ONLY)
 
 
 def tab_qtx_eval(mu: Word, q0, t0, xs) -> Fraction:
     """tab_qtx evaluated at exact rationals without symbolic overhead."""
-    q0, t0 = Fraction(q0), Fraction(t0)
-    xs = tuple(Fraction(v) for v in xs)
-    rl = mu.r + mu.l
-    ratio_cache: dict[int, Fraction] = {}
-
-    def ratio(a: int) -> Fraction:
-        if a not in ratio_cache:
-            v = Fraction(1)
-            for j in range(rl - a + 1, rl + 1):
-                v /= (1 - q0 * t0**j) / (1 - t0)
-            ratio_cache[a] = v
-        return ratio_cache[a]
-
-    ea_val = Fraction(1)
-    for c in mu.ea():
-        ea_val *= xs[c - 1]
-    total = Fraction(0)
-    for tableau in enumerate_tableaux(mu):
-        v = ratio(tableau.arr) * ea_val
-        for c in tableau.diagram.square_cols:
-            if tableau.arrow_row(c) is None:
-                v *= xs[c - 1]
-        for i in range(1, tableau.diagram.k + 1):
-            v *= _row_sum_eval(tableau, i, q0, t0, xs)
-        total += v
-    return total
+    return _tableau_sum(build_diagram(mu), point_ring(q0, t0, xs, mu.n))
 
 
 def tab_t_eval(mu: Word, t0) -> Fraction:

@@ -67,6 +67,25 @@ def test_bad_word_exits_2(capsys):
     assert code == 2 and "weakly decreasing" in err
 
 
+def test_bad_rational_exits_2(capsys):
+    for argv in (
+        ("prob", "201021", "--at-t", "1/0"),
+        ("prob", "201021", "--at-t", "half"),
+        ("trace", "0212", "--numeric", "1/3", "1/0"),
+        ("trace", "0212", "--numeric", "1/3", "1/2", "--x", "1/0", "1", "1", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "not a rational number" in err and "Traceback" not in err
+
+
+def test_nonpositive_trunc_exits_2(capsys):
+    for size in ("0", "-5"):
+        code, out, err = run(capsys, "trace", "0212", "--numeric", "1/3", "1/2", "--trunc", size)
+        assert code == 2 and out == ""
+        assert "truncation size must be at least 1" in err
+
+
 def test_queues_output(capsys):
     code, out, _ = run(capsys, "queues", "201021", "--json")
     doc = json.loads(out)

@@ -97,6 +97,12 @@ def test_truncated_trace_exact_mode():
     assert got == sum(Fraction(1, 2) ** i for i in range(10))
 
 
+def test_truncated_trace_rejects_nonpositive_size():
+    for size in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            truncated_trace(W("0212"), Fraction(1, 3), Fraction(1, 2), size=size)
+
+
 def test_truncated_trace_divergence_guard():
     with pytest.raises(DivergenceError):
         truncated_trace(W("12"), Fraction(3), Fraction(1, 2))  # |q t^r| = 3/2

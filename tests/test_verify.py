@@ -1,7 +1,11 @@
 """The verification driver: determinism, report schema, worker pool."""
 
 import json
+import multiprocessing
+import os
 
+from crtasep import verify
+from crtasep.errors import NoConvergence
 from crtasep.verify import SUITES, run_suite, worker_count
 
 
@@ -46,3 +50,49 @@ def test_failure_witness_shape():
     from crtasep.verify import _check_markov
 
     assert _check_markov((1, 1, 1, "1/2")) is None
+
+
+def test_raising_instance_is_recorded_and_the_rest_still_run(monkeypatch):
+    make, check = verify._SUITE_FUNCS["relations"]
+    bad = make(0, 42)[3]
+
+    def flaky(instance):
+        if instance == bad:
+            raise NoConvergence("no stable value")
+        return check(instance)
+
+    monkeypatch.setitem(verify._SUITE_FUNCS, "relations", (make, flaky))
+    report = run_suite("relations", 0, 42, workers=1)
+    assert set(report) == {"suite", "instances", "failures", "elapsed_ms"}
+    assert report["instances"] == 40
+    assert report["failures"] == [
+        {"instance": list(bad), "error": "NoConvergence: no stable value", "suite": "relations"}
+    ]
+
+
+def test_pool_size_clamped_to_cpus_and_tasks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:  # records the requested size; starts no process
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks, chunksize=1):
+            return [func(task) for task in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setenv("CRTASEP_WORKERS", str(10**9))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert run_suite("relations", 0, 42)["failures"] == []
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert run_suite("relations", 0, 42)["failures"] == []
+    assert sizes == [4, 40]  # 40 instances
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    run_suite("relations", 0, 42)
+    assert sizes == [4, 40]  # an unknown CPU count runs serially

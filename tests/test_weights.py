@@ -172,6 +172,9 @@ def test_numeric_twins_match_symbolic():
     xs = tuple(Fraction(i + 1, 2) for i in range(6))
     assert tab_qtx_eval(mu, q0, t0, xs) == tab_qtx(mu).evaluate(q0, t0, xs)
     assert tab_t_eval(mu, t0) == tab_t(mu).evaluate(1, t0)
+    for wrong in (xs[:5], xs + (Fraction(1),)):
+        with pytest.raises(ValueError, match="need 6 x-values"):
+            tab_qtx_eval(mu, q0, t0, wrong)
 
 
 def test_partition_function_values():
