@@ -4,10 +4,15 @@ A monomial is keyed by ``(e_q, e_t, xs)`` where ``xs`` is a tuple of
 exponents for x1, x2, ... with trailing zeros removed.  The monomial order
 used everywhere (serialisation, leading terms, gcd) is graded lexicographic
 with q > t > x1 > x2 > ...
+
+``poly_gcd`` (q and t only) converts both sides once to integer rows, a
+polynomial in t with Z[q] coefficients, and runs one primitive remainder
+sequence on them; ``poly_divexact`` is exact long division.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -97,9 +102,6 @@ class MultiPoly:
     @property
     def nvars(self) -> int:
         return max((len(key[2]) for key in self.terms), default=0)
-
-    def total_degree(self) -> int:
-        return max((k[0] + k[1] + sum(k[2]) for k in self.terms), default=0)
 
     def degree_q(self) -> int:
         return max((k[0] for k in self.terms), default=0)
@@ -298,34 +300,29 @@ _POLY_ONE = MultiPoly({(0, 0, ()): _ONE})
 #
 # Bivariate polynomials are handled as polynomials in t whose coefficients
 # are univariate polynomials in q.  Inputs are rescaled to integer
-# coefficients up front so the primitive polynomial remainder sequences run
-# on machine/big ints rather than Fractions.  Denominators produced by the
-# weight formulas only ever involve products of (1 - q t^i) and (1 - t),
-# so degrees stay small.
+# coefficients once, so the primitive polynomial remainder sequences run on
+# machine/big ints rather than Fractions.  The weight denominators are
+# products of q,t-brackets (1 - q t^i), (1 - t) and t-brackets [j]_t, so
+# degrees stay small.  Tuples here, argument tuples of ``math.gcd`` and
+# ``math.lcm`` included, are built from lists, not generators: CPython
+# resizes a tuple it builds from a generator, and the resized tuples pile up
+# on its tuple free lists (measured: about 1 MB more peak RSS over
+# the stationary laws of sectors (3,3,2) and (3,2,2)).
 # ----------------------------------------------------------------------
 
 
-def _zq_trim(c) -> tuple[int, ...]:
+def _zq_trim(c) -> tuple:
     end = len(c)
     while end and not c[end - 1]:
         end -= 1
     return tuple(c[:end])
 
 
-def _zq_content(a: tuple[int, ...]) -> int:
-    g = 0
-    for v in a:
-        g = _gcd_int(g, abs(v))
-        if g == 1:
-            return 1
-    return g
-
-
 def _zq_pp(a: tuple[int, ...]) -> tuple[int, ...]:
-    c = _zq_content(a)
+    c = math.gcd(*a)
     if c in (0, 1):
         return a
-    return tuple(v // c for v in a)
+    return tuple([v // c for v in a])
 
 
 def _zq_mul(a, b):
@@ -359,10 +356,10 @@ def _zq_prem(a, b):
 def _zq_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """gcd in Z[q], primitive with positive leading coefficient."""
     if not a:
-        return _zq_pp(b) if not b or b[-1] > 0 else tuple(-v for v in _zq_pp(b))
+        return _zq_pp(b) if not b or b[-1] > 0 else tuple([-v for v in _zq_pp(b)])
     if not b:
-        return _zq_pp(a) if a[-1] > 0 else tuple(-v for v in _zq_pp(a))
-    c = _gcd_int(_zq_content(a), _zq_content(b))
+        return _zq_pp(a) if a[-1] > 0 else tuple([-v for v in _zq_pp(a)])
+    c = math.gcd(*a, *b)
     a, b = _zq_pp(a), _zq_pp(b)
     if len(a) < len(b):
         a, b = b, a
@@ -370,56 +367,45 @@ def _zq_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         r = _zq_prem(a, b)
         a, b = b, _zq_pp(r)
     if a[-1] < 0:
-        a = tuple(-v for v in a)
-    return tuple(v * c for v in a)
+        a = tuple([-v for v in a])
+    return tuple([v * c for v in a])
 
 
 def _zq_divexact(a, b):
-    """Exact quotient in Z[q] (raises on inexact division)."""
+    """Exact quotient in Z[q]; raises ValueError unless b divides a with an
+    integer quotient."""
     if not b:
         raise ZeroDivisionError("q-polynomial division by zero")
     if not a:
         return ()
-    lb = b[-1]
-    if lb in (1, -1):  # common case: bracket products have unit leading coeff
-        a = list(a)
-        quot = [0] * (len(a) - len(b) + 1)
-        for shift in range(len(a) - len(b), -1, -1):
-            c = a[shift + len(b) - 1] * lb
-            if c:
-                quot[shift] = c
-                for i, bv in enumerate(b):
-                    a[shift + i] -= c * bv
-        if any(a):
-            raise ValueError("inexact q-polynomial division")
-        return _zq_trim(quot)
-    a = [Fraction(v) for v in a]
-    quot = [_ZERO] * (len(a) - len(b) + 1)
+    a = list(a)
+    lb, db = b[-1], len(b) - 1
+    quot = [0] * (len(a) - db)
     for shift in range(len(a) - len(b), -1, -1):
-        c = a[shift + len(b) - 1] / lb
+        c, r = divmod(a[shift + db], lb)
+        if r:
+            raise ValueError("inexact q-polynomial division")
         if c:
             quot[shift] = c
             for i, bv in enumerate(b):
                 a[shift + i] -= c * bv
-    if any(a) or any(v.denominator != 1 for v in quot):
+    if any(a):
         raise ValueError("inexact q-polynomial division")
-    return _zq_trim([int(v) for v in quot])
+    return _zq_trim(quot)
 
 
 def _poly_to_zrows(p: MultiPoly) -> list[tuple[int, ...]]:
     """Integer t-major coefficient rows (any positive rational rescale)."""
     if p.has_x():
         raise ValueError("gcd is only defined for polynomials in q and t")
-    mult = 1
-    for c in p.terms.values():
-        mult = mult * c.denominator // _gcd_int(mult, c.denominator)
+    mult = math.lcm(*[c.denominator for c in p.terms.values()])
     rows: list[list[int]] = [[] for _ in range(p.degree_t() + 1)]
     for (eq, et, _), c in p.terms.items():
         row = rows[et]
         if len(row) <= eq:
             row.extend([0] * (eq + 1 - len(row)))
         row[eq] = c.numerator * (mult // c.denominator)
-    return [list(_zq_trim(r)) for r in rows]
+    return [_zq_trim(r) for r in rows]
 
 
 def _zrows_to_poly(rows) -> MultiPoly:
@@ -431,17 +417,10 @@ def _zrows_to_poly(rows) -> MultiPoly:
     return MultiPoly(terms)
 
 
-def _tp_trim(f):
-    end = len(f)
-    while end and not f[end - 1]:
-        end -= 1
-    return f[:end]
-
-
 def _tp_content(f) -> tuple[int, ...]:
     g: tuple[int, ...] = ()
     for row in f:
-        g = _zq_gcd(g, tuple(row))
+        g = _zq_gcd(g, row)
         if g == (1,):
             break
     return g
@@ -452,16 +431,15 @@ def _tp_pp(f):
     if not cont:
         return []
     if cont == (1,):
-        return [tuple(r) for r in f]
-    return [_zq_divexact(tuple(r), cont) for r in f]
+        return list(f)
+    return [_zq_divexact(r, cont) for r in f]
 
 
 def _tp_prem(f, g):
     """Pseudo-remainder of f by g in (Z[q])[t]; f, g lists of q-polys.
     Integer content is stripped after every elimination step (the result is
     only used up to units) to keep coefficient growth in check."""
-    f = [tuple(r) for r in f]
-    lg = tuple(g[-1])
+    lg = g[-1]
     dg = len(g) - 1
     while len(f) - 1 >= dg and f:
         lf = f[-1]
@@ -475,15 +453,10 @@ def _tp_prem(f, g):
             for j, v in enumerate(prod):
                 row[j] -= v
             nf[shift + i] = _zq_trim(row)
-        f = _tp_trim(nf)
-        c = 0
-        for row in f:
-            for v in row:
-                c = _gcd_int(c, abs(v))
-            if c == 1:
-                break
+        f = _zq_trim(nf)
+        c = math.gcd(*[v for row in f for v in row])
         if c > 1:
-            f = [tuple(v // c for v in row) for row in f]
+            f = [tuple([v // c for v in row]) for row in f]
     return f
 
 
@@ -499,43 +472,14 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return _gcd_normalise(b if a == b else MultiPoly.one())
     if len(a.terms) == 1 or len(b.terms) == 1:
         return _gcd_with_monomial(a, b)
-    # peel off shared factors of the bracket family (1-t), (1-q t^i) by
-    # trial division; denominators in this package are products of these,
-    # so the remainder sequence below usually sees coprime leftovers
-    shared = MultiPoly.one()
-    for factor in _bracket_candidates(a, b):
-        while True:
-            try:
-                a2 = poly_divexact(a, factor)
-                b2 = poly_divexact(b, factor)
-            except ValueError:
-                break
-            a, b = a2, b2
-            shared = shared * factor
-    if a.is_one() or b.is_one():
-        return _gcd_normalise(shared)
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        return _gcd_normalise(shared * _gcd_with_monomial(a, b))
     fa, fb = _poly_to_zrows(a), _poly_to_zrows(b)
     c = _zq_gcd(_tp_content(fa), _tp_content(fb))
     f, g = _tp_pp(fa), _tp_pp(fb)
     if len(f) < len(g):
         f, g = g, f
     while g:
-        r = _tp_prem(f, g)
-        f, g = g, _tp_pp(r)
-    f = _tp_pp(f)
-    result = _zrows_to_poly([_zq_mul(tuple(r), c) for r in f])
-    return _gcd_normalise(shared * result)
-
-
-def _bracket_candidates(a: MultiPoly, b: MultiPoly):
-    max_t = min(a.degree_t(), b.degree_t())
-    if max_t >= 1:
-        yield MultiPoly.one() - MultiPoly.t()
-    if min(a.degree_q(), b.degree_q()) >= 1:
-        for i in range(min(max_t, max(a.degree_t(), 1)), -1, -1):
-            yield MultiPoly.one() - MultiPoly.q() * MultiPoly.t(i)
+        f, g = g, _tp_pp(_tp_prem(f, g))
+    return _gcd_normalise(_zrows_to_poly([_zq_mul(r, c) for r in f]))
 
 
 def _gcd_with_monomial(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -548,25 +492,18 @@ def _gcd_with_monomial(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return MultiPoly.monomial(eq, et, ())
 
 
+def normalising_scale(lead: MultiPoly, *others: MultiPoly) -> Fraction:
+    """The rational s that makes ``lead`` and ``others``, all scaled by s,
+    integer polynomials with joint content 1 and ``lead``'s leading
+    coefficient positive."""
+    coeffs = [c for p in (lead, *others) for c in p.terms.values()]
+    mult = math.lcm(*[c.denominator for c in coeffs])
+    scale = Fraction(mult, math.gcd(*[c.numerator for c in coeffs]))
+    return -scale if lead.leading_coeff() < 0 else scale
+
+
 def _gcd_normalise(p: MultiPoly) -> MultiPoly:
-    if p.is_zero():
-        return _POLY_ZERO
-    mult = 1
-    for c in p.terms.values():
-        mult = mult * c.denominator // _gcd_int(mult, c.denominator)
-    content = 0
-    for c in p.terms.values():
-        content = _gcd_int(content, abs(c.numerator * (mult // c.denominator)))
-    scale = Fraction(mult, content)
-    if p.leading_coeff() < 0:
-        scale = -scale
-    return p.scale(scale)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    return p.scale(normalising_scale(p)) if p.terms else _POLY_ZERO
 
 
 def poly_divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 from ..errors import ParseError
 from .poly import MultiPoly, _trim, order_key
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, add_over_den, sum_over_dens
 
 _ONE = Fraction(1)
 
@@ -250,17 +250,8 @@ def qtx_sum(exprs) -> QtxExpr:
     groups: dict[tuple[int, ...], dict[MultiPoly, MultiPoly]] = {}
     for e in exprs:
         for xs, c in e.coeffs.items():
-            by_den = groups.setdefault(xs, {})
-            acc = by_den.get(c.den)
-            by_den[c.den] = c.num if acc is None else acc + c.num
-    coeffs = {}
-    for xs, by_den in groups.items():
-        total = RatFunc.zero()
-        for den, num in by_den.items():
-            total = total + RatFunc(num, den)
-        if not total.is_zero():
-            coeffs[xs] = total
-    return QtxExpr(coeffs)
+            add_over_den(groups.setdefault(xs, {}), c)
+    return QtxExpr({xs: sum_over_dens(by_den) for xs, by_den in groups.items()})
 
 
 def _coerce(value):

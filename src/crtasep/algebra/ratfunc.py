@@ -4,7 +4,9 @@ Canonical form: numerator and denominator are coprime, have integer
 coefficients with joint content 1, and the denominator's leading
 coefficient (graded lex, q > t) is positive.  Two rational functions are
 equal as field elements iff their canonical forms coincide, so ``==`` is
-exact field equality.
+exact field equality.  Every fraction is reduced with ``poly_gcd``; sums
+and products of reduced fractions run it only on the factors that can
+cancel (Henrici's method).
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ..errors import PoleError
-from .poly import MultiPoly, poly_divexact, poly_gcd
+from .poly import MultiPoly, normalising_scale, poly_divexact, poly_gcd
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -67,10 +68,6 @@ class RatFunc:
         c = Fraction(c)
         return RatFunc(MultiPoly.const(c.numerator), MultiPoly.const(c.denominator))
 
-    @staticmethod
-    def from_poly(p: MultiPoly) -> "RatFunc":
-        return RatFunc(p)
-
     # -- structure -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -86,13 +83,6 @@ class RatFunc:
         if not self.den.is_one():
             raise ValueError(f"{self!r} is not a polynomial")
         return self.num
-
-    def as_fraction(self) -> Fraction:
-        """The constant value, if constant."""
-        if self.num.degree_q() or self.num.degree_t() or self.den.degree_q() or self.den.degree_t():
-            raise ValueError(f"{self!r} is not constant")
-        n = self.num.terms.get((0, 0, ()), _ZERO)
-        return n / self.den.terms[(0, 0, ())]
 
     def __bool__(self) -> bool:
         return not self.num.is_zero()
@@ -229,24 +219,8 @@ class RatFunc:
 
 
 def _normalise_pair(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    mult = 1
-    for c in list(num.terms.values()) + list(den.terms.values()):
-        mult = mult * c.denominator // _gcd_int(mult, c.denominator)
-    content = 0
-    for c in num.terms.values():
-        content = _gcd_int(content, abs(c.numerator * (mult // c.denominator)))
-    for c in den.terms.values():
-        content = _gcd_int(content, abs(c.numerator * (mult // c.denominator)))
-    scale = Fraction(mult, content)
-    if den.leading_coeff() < 0:
-        scale = -scale
+    scale = normalising_scale(den, num)
     return num.scale(scale), den.scale(scale)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _coerce(value) -> "RatFunc":
@@ -273,10 +247,18 @@ def ratfunc_sum(values) -> RatFunc:
     denominators so each distinct denominator is reduced once."""
     by_den: dict[MultiPoly, MultiPoly] = {}
     for v in values:
-        if v.num.is_zero():
-            continue
-        acc = by_den.get(v.den)
-        by_den[v.den] = v.num if acc is None else acc + v.num
+        add_over_den(by_den, v)
+    return sum_over_dens(by_den)
+
+
+def add_over_den(by_den: dict[MultiPoly, MultiPoly], v: RatFunc) -> None:
+    """Add v's numerator to the running numerator over v's denominator."""
+    acc = by_den.get(v.den)
+    by_den[v.den] = v.num if acc is None else acc + v.num
+
+
+def sum_over_dens(by_den: dict[MultiPoly, MultiPoly]) -> RatFunc:
+    """The sum of num/den over a ``{den: num}`` map, one reduction per den."""
     total = _RF_ZERO
     for den, num in by_den.items():
         total = total + RatFunc(num, den)

@@ -217,10 +217,6 @@ class ArrowOrdering:
                 return cols
         return ()
 
-    def label_of(self, col: int, row: int) -> int:
-        order = self.row_order(row)
-        return order.index(col) + 1
-
 
 def enumerate_orderings(tableau: Tableau) -> list[ArrowOrdering]:
     """All products of per-row label permutations."""

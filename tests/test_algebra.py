@@ -54,6 +54,15 @@ def qt_polys(draw, max_terms=4, max_exp=4):
 
 
 @st.composite
+def bracket_products(draw):
+    """Products of (1 - t) and (1 - q t^i), the weight-denominator factors."""
+    out = MultiPoly.one()
+    for i in draw(st.lists(st.integers(-1, 3), min_size=1, max_size=3)):
+        out = out * (MultiPoly.one() - (T() if i < 0 else Q() * T(i)))
+    return out
+
+
+@st.composite
 def ratfuncs(draw):
     num = draw(qt_polys())
     den = draw(qt_polys().filter(lambda p: not p.is_zero()))
@@ -122,6 +131,12 @@ def test_poly_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+def _associates(f, g):
+    """f is a nonzero rational multiple of g."""
+    ratio = poly_divexact(f, g)
+    return not ratio.is_zero() and ratio.degree_q() == 0 and ratio.degree_t() == 0
+
+
 @settings(max_examples=50, deadline=None)
 @given(qt_polys(), qt_polys().filter(lambda p: not p.is_zero()))
 def test_gcd_divides_and_divexact(a, b):
@@ -129,18 +144,43 @@ def test_gcd_divides_and_divexact(a, b):
     if not a.is_zero():
         assert poly_divexact(a, g) * g == a
     assert poly_divexact(b, g) * g == b
+    # b divides a*b, so it is their gcd up to a constant
+    assert _associates(poly_gcd(a * b, b), b)
 
 
-@settings(max_examples=40, deadline=None)
-@given(qt_polys(), qt_polys(), qt_polys(max_terms=2))
+@settings(max_examples=60, deadline=None)
+@given(qt_polys(), qt_polys(), st.one_of(qt_polys(max_terms=2), bracket_products()))
 def test_gcd_absorbs_common_factor(a, b, m):
-    if a.is_zero() or b.is_zero() or m.is_zero():
-        return
     g = poly_gcd(a * m, b * m)
-    # m divides the gcd of (am, bm)
-    assert poly_divexact(g, poly_gcd(g, m)) is not None
+    poly_divexact(g, m)  # m divides the gcd of (am, bm)
     poly_divexact(a * m, g)
     poly_divexact(b * m, g)
+    assert _associates(g, m * poly_gcd(a, b))
+
+
+def _to_sympy(p):
+    from sympy import Add, Rational, symbols
+
+    q, t = symbols("q t")
+    return Add(*(Rational(c) * q**eq * t**et for (eq, et, _), c in p.terms.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(qt_polys(), qt_polys(), st.one_of(st.none(), bracket_products()))
+def test_gcd_and_ratfunc_agree_with_sympy(a, b, m):
+    """An independent oracle: sympy's gcd and cancel."""
+    sympy = pytest.importorskip("sympy")
+    if m is not None:
+        a, b = a * m, b * m
+    sa, sb = _to_sympy(a), _to_sympy(b)
+    ratio = sympy.cancel(_to_sympy(poly_gcd(a, b)) / sympy.gcd(sa, sb))
+    assert ratio.is_Rational and ratio != 0
+    r = RatFunc(a, b)
+    assert sympy.expand(_to_sympy(r.num) * sb - sa * _to_sympy(r.den)) == 0
+    # as reduced as sympy's: the same denominator total degree
+    want_den = sympy.fraction(sympy.cancel(sa / sb))[1]
+    want_degree = sympy.Poly(want_den, *sympy.symbols("q t")).total_degree()
+    assert max(eq + et for eq, et, _ in r.den.terms) == want_degree
 
 
 @settings(max_examples=60, deadline=None)
