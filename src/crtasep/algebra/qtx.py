@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from ..errors import ParseError
-from .poly import MultiPoly, _trim, order_key
+from .poly import MultiPoly, _mul_xs, _trim, order_key
 from .ratfunc import RatFunc, add_over_den, sum_over_dens
 
 _ONE = Fraction(1)
@@ -75,10 +75,6 @@ class QtxExpr:
 
     def total_x_degree(self) -> int:
         return max((sum(xs) for xs in self.coeffs), default=0)
-
-    def x_degree(self, i: int) -> int:
-        """Degree in x_i (1-based)."""
-        return max((xs[i - 1] for xs in self.coeffs if len(xs) >= i), default=0)
 
     def as_ratfunc(self) -> RatFunc:
         """The coefficient field element, for expressions constant in x."""
@@ -159,7 +155,7 @@ class QtxExpr:
         coeffs: dict[tuple[int, ...], RatFunc] = {}
         for xa, ca in self.coeffs.items():
             for xb, cb in other.coeffs.items():
-                key = _add_exps(xa, xb)
+                key = _mul_xs(xa, xb)
                 c = ca * cb
                 s = coeffs.get(key)
                 s = c if s is None else s + c
@@ -264,16 +260,6 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return QtxExpr.from_ratfunc(RatFunc.const(value))
     return NotImplemented
-
-
-def _add_exps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    return tuple(x + y for x, y in zip(a, b)) + a[len(b):]
 
 
 # ----------------------------------------------------------------------

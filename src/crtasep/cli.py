@@ -3,7 +3,8 @@
 Words and partitions are digit strings ("201021"); rationals are "p/q"
 text.  Output is canonical expression text by default, JSON with --json.
 Exit codes: 0 success, 1 verification failure, 2 bad word/partition or
-usage, 3 evaluation failure (pole or divergent truncation).
+usage, 3 evaluation failure (pole, divergent truncation, or a word too
+long for the recurrence).
 """
 
 from __future__ import annotations
@@ -130,6 +131,9 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except (PoleError, DivergenceError, NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("error: word too long for the recurrence", file=sys.stderr)
         return 3
     except (NotAPartition, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

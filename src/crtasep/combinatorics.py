@@ -100,21 +100,22 @@ def enumerate_states(k: int, r: int, l: int) -> list[Word]:
     """All words with k 0s, r 1s, l 2s, in lexicographic order."""
     if k < 0 or r < 0 or l < 0 or k + r + l < 1:
         raise ValueError("need nonnegative counts summing to at least 1")
-    out: list[Word] = []
-    letters: list[int] = []
-
-    def rec(k: int, r: int, l: int):
-        if k == r == l == 0:
-            out.append(Word(tuple(letters)))
-            return
-        for a, left in ((0, k), (1, r), (2, l)):
-            if left:
-                letters.append(a)
-                rec(k - (a == 0), r - (a == 1), l - (a == 2))
-                letters.pop()
-
-    rec(k, r, l)
-    return out
+    # successive next permutations of the sorted letters: no recursion, so
+    # long words work, and the order is lexicographic
+    letters = [0] * k + [1] * r + [2] * l
+    out = [Word(tuple(letters))]
+    while True:
+        i = len(letters) - 2
+        while i >= 0 and letters[i] >= letters[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(letters) - 1
+        while letters[j] <= letters[i]:
+            j -= 1
+        letters[i], letters[j] = letters[j], letters[i]
+        letters[i + 1 :] = letters[:i:-1]
+        out.append(Word(tuple(letters)))
 
 
 @dataclass(frozen=True)
@@ -269,9 +270,6 @@ class PartialPerm:
     def s(self) -> int:
         """Number of numbered labels (excluding the 0)."""
         return sum(1 for v in self.values if v is not None) - 1
-
-    def position_of(self, value: int) -> int:
-        return self.values.index(value)
 
     def col_of(self, value: int) -> int:
         if self.cols is None:

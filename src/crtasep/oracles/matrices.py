@@ -92,22 +92,24 @@ def product_trace(mu: Word, q0, t0, xs, size: int) -> Fraction:
     return sparse_trace(prod)
 
 
+REL_TOL = 1e-10  # numeric truncated_trace: agreement of successive truncations
+START_SIZE = 64
+MAX_SIZE = 1024
+
+
 def truncated_trace(
     mu: Word,
     q0,
     t0,
     xs=None,
     size: int | None = None,
-    rel_tol: float = 1e-10,
-    start: int = 64,
-    max_size: int = 1024,
 ):
     """Trace of the truncated matrix product for a word.
 
     With ``size`` given, returns the exact rational trace of that single
     truncation (bit-exact debugging mode).  Otherwise doubles the
-    truncation from ``start`` until two successive values agree within
-    ``rel_tol`` relative and returns a float.
+    truncation from ``START_SIZE`` until two successive values agree within
+    ``REL_TOL`` relative and returns a float, giving up above ``MAX_SIZE``.
     """
     if size is not None and size < 1:
         raise ValueError(f"truncation size must be at least 1, got {size}")
@@ -122,14 +124,14 @@ def truncated_trace(
     fq, ft = float(q0), float(t0)
     fxs = tuple(float(v) for v in xs)
     previous = None
-    n = start
-    while n <= max_size:
+    n = START_SIZE
+    while n <= MAX_SIZE:
         value = product_trace(mu, fq, ft, fxs, n)
-        if previous is not None and abs(value - previous) <= rel_tol * max(1.0, abs(value)):
+        if previous is not None and abs(value - previous) <= REL_TOL * max(1.0, abs(value)):
             return value
         previous = value
         n *= 2
-    raise NoConvergence(f"trace for {mu} not stable within {rel_tol} at size {max_size}")
+    raise NoConvergence(f"trace for {mu} not stable within {REL_TOL} at size {MAX_SIZE}")
 
 
 # ----------------------------------------------------------------------

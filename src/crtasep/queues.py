@@ -2,11 +2,14 @@
 matching, their weight algorithm, and the weight-preserving correspondence
 with (tableau, arrow ordering) pairs.
 
-A queue is valid when every top ball is matched, an unmatched bottom ball
-has no top ball above it, and every non-self edge lies on a chain starting
-at an unrestricted top ball (matchings with cycles among restricted balls
-satisfy the two local rules but cannot be produced by the correspondence
-or weighted by the traversal, so they are excluded)."""
+A valid matching is a chain system: each top ball over an empty bottom
+site, at column d, starts the chain of bottom balls reached from d while
+the ball reached is a top ball with a non-self edge, and every other top
+ball is self-matched or on a chain.  The correspondence reads d as a row
+label and its chain as that row's arrow columns in arrow order.
+``validate`` rejects a matching with a cycle among restricted balls, which
+keeps every local rule but which no chain reaches.
+"""
 
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 from .algebra.poly import MultiPoly
 from .algebra.qtx import QtxExpr
-from .algebra.ratfunc import RatFunc, qt_bracket
+from .algebra.ratfunc import RatFunc
 from .combinatorics import ArrowOrdering, Tableau, Word, build_diagram
 from .errors import InvalidQueue
 
@@ -31,9 +34,6 @@ class TwoLineQueue:
     def make(n: int, top, bottom, matching) -> "TwoLineQueue":
         return TwoLineQueue(n, frozenset(top), frozenset(bottom), tuple(sorted(matching)))
 
-    def matching_dict(self) -> dict[int, int]:
-        return dict(self.matching)
-
     def validate(self) -> None:
         cols = range(1, self.n + 1)
         if not (self.top <= set(cols) and self.bottom <= set(cols)):
@@ -43,32 +43,18 @@ class TwoLineQueue:
             raise InvalidQueue("a top ball is matched twice")
         if set(match) != self.top:
             raise InvalidQueue("every top ball must be matched, and only balls match")
-        targets = list(match.values())
-        if len(set(targets)) != len(targets):
+        targets = set(match.values())
+        if len(targets) != len(match):
             raise InvalidQueue("a bottom ball is matched twice")
-        if not set(targets) <= self.bottom:
+        if not targets <= self.bottom:
             raise InvalidQueue("matched to an empty bottom site")
         for b in self.bottom:
-            if b not in set(targets) and b in self.top:
+            if b not in targets and b in self.top:
                 raise InvalidQueue(f"unmatched bottom ball under a top ball at column {b}")
-        # chain structure: walking from unrestricted tops must visit every
-        # non-self edge exactly once
-        seen = 0
-        for start in self.top - self.bottom:
-            i = start
-            while True:
-                j = match[i]
-                seen += 1
-                if j in self.top and match[j] != j:
-                    i = j
-                else:
-                    break
-        non_self = sum(1 for i, j in self.matching if i != j)
-        if seen != non_self:
+        # distinct targets make every walk of _chains end
+        chained = {edge for d, chain in _chains(self).items() for edge in zip((d,) + chain, chain)}
+        if chained != {(i, j) for i, j in self.matching if i != j}:
             raise InvalidQueue("matching contains a cycle among restricted balls")
-        for i, j in self.matching:
-            if i == j and any(jj == i for ii, jj in self.matching if ii != i):
-                raise InvalidQueue(f"self-matched column {i} also receives a chain edge")
 
     def to_json_dict(self) -> dict:
         return {
@@ -102,31 +88,50 @@ def queue_type(queue: TwoLineQueue) -> Word:
     return Word(tuple(letters))
 
 
+def _chains(queue: TwoLineQueue) -> dict[int, tuple[int, ...]]:
+    """The chain of each unrestricted top ball, keyed by its column, in
+    ascending column order: the bottom columns reached by following the
+    matching while the ball reached is a top ball with a non-self edge."""
+    match = dict(queue.matching)
+    chains = {}
+    for d in sorted(queue.top - queue.bottom):
+        chain = [match[d]]
+        while chain[-1] in queue.top and match[chain[-1]] != chain[-1]:
+            chain.append(match[chain[-1]])
+        chains[d] = tuple(chain)
+    return chains
+
+
+def _from_chains(n: int, bottom, self_matched, chains: dict[int, tuple[int, ...]]) -> TwoLineQueue:
+    """The queue with these self-matched columns and these chains, each
+    hanging from the column it is keyed by; the inverse of ``_chains``."""
+    top = set(self_matched)
+    matching = [(c, c) for c in self_matched]
+    for d, chain in chains.items():
+        if chain:
+            top.update((d,) + chain[:-1])
+            matching.extend(zip((d,) + chain, chain))
+    return TwoLineQueue.make(n, top, bottom, matching)
+
+
 def _traverse(queue: TwoLineQueue) -> list[tuple[int, int, int, int]]:
     """Edge records (i, j, skipped, free) of the weighting traversal.
 
-    Repeatedly start from the rightmost unprocessed unrestricted top ball
-    and follow its chain; ``skipped`` counts free bottom balls passed
-    moving right cyclically from i to j, ``free`` the free count when the
-    edge is weighted.  Self-matched bottom balls stay free throughout.
+    Walks the chains from the rightmost unrestricted top ball leftwards;
+    ``skipped`` counts free bottom balls passed moving right cyclically
+    from i to j, ``free`` the free count when the edge is weighted.
+    Self-matched bottom balls stay free throughout.
     """
-    match = queue.matching_dict()
     free = set(queue.bottom)
     records = []
-    for start in sorted(queue.top - queue.bottom, reverse=True):
-        i = start
-        while True:
-            j = match[i]
+    for d, chain in sorted(_chains(queue).items(), reverse=True):
+        for i, j in zip((d,) + chain, chain):
             if i < j:
                 skipped = sum(1 for u in free if i <= u < j)
             else:
                 skipped = sum(1 for u in free if u >= i or u < j)
             records.append((i, j, skipped, len(free)))
             free.discard(j)
-            if j in queue.top and match[j] != j:
-                i = j
-            else:
-                break
     return records
 
 
@@ -155,52 +160,24 @@ def queue_weight(queue: TwoLineQueue) -> QtxExpr:
 
 
 def crt_to_queue(tableau: Tableau, ordering: ArrowOrdering) -> TwoLineQueue:
-    """Arrows labeled 1 start chains at their row's column; consecutive
-    labels in a row continue them; the row-maximal arrow ends its chain."""
+    """Each row's ordered arrows become the chain hanging from its label;
+    the square columns without an arrow are self-matched."""
     diagram = tableau.diagram
-    mu = diagram.word
-    n = mu.n
-    bottom = set(mu.ea())
-    top: set[int] = set()
-    matching: list[tuple[int, int]] = []
-    for c in diagram.square_cols:
-        if tableau.arrow_row(c) is None:
-            top.add(c)
-            matching.append((c, c))
-    for i in range(1, diagram.k + 1):
-        order = ordering.row_order(i)
-        if not order:
-            continue
-        label = diagram.row_label(i)
-        top.add(label)
-        matching.append((label, order[0]))
-        for a, b in zip(order, order[1:]):
-            top.add(a)
-            matching.append((a, b))
-    return TwoLineQueue.make(n, top, bottom, matching)
+    self_matched = [c for c in diagram.square_cols if tableau.arrow_row(c) is None]
+    chains = {diagram.row_label(i): ordering.row_order(i) for i in range(1, diagram.k + 1)}
+    return _from_chains(diagram.word.n, diagram.word.ea(), self_matched, chains)
 
 
 def queue_to_crt(queue: TwoLineQueue) -> tuple[Tableau, ArrowOrdering]:
-    """Inverse correspondence: each chain from an unrestricted top ball
-    becomes the arrows of one row, labeled in chain order."""
+    """Inverse correspondence: the chain hanging from each row label
+    becomes the arrows of that row, in chain order."""
     queue.validate()
-    mu = queue_type(queue)
-    diagram = build_diagram(mu)
-    match = queue.matching_dict()
+    diagram = build_diagram(queue_type(queue))
     arrows: list[tuple[int, int]] = []
     orders: dict[int, tuple[int, ...]] = {i: () for i in range(1, diagram.k + 1)}
-    for start in queue.top - queue.bottom:
-        row = diagram.row_labels.index(start) + 1
-        chain = []
-        i = start
-        while True:
-            j = match[i]
-            chain.append(j)
-            if j in queue.top and match[j] != j:
-                i = j
-            else:
-                break
-        orders[row] = tuple(chain)
+    for d, chain in _chains(queue).items():
+        row = diagram.row_labels.index(d) + 1
+        orders[row] = chain
         arrows.extend((c, row) for c in chain)
     tableau = Tableau(diagram, tuple(sorted(arrows)))
     ordering = ArrowOrdering(tuple(sorted(orders.items())))
@@ -213,12 +190,10 @@ def enumerate_queues(mu: Word) -> list[TwoLineQueue]:
     chains hanging from hole columns."""
     zeros = mu.positions_of(0)
     ee = mu.ee()
-    bottom = set(mu.ea())
+    bottom = mu.ea()
     out: list[TwoLineQueue] = []
     for s in range(0, len(ee) + 1):
         for chained in itertools.combinations(ee, s):
-            if s > 0 and not zeros:
-                continue
             self_matched = [c for c in ee if c not in chained]
             for owner in itertools.product(zeros, repeat=s):
                 groups: dict[int, list[int]] = {d: [] for d in zeros}
@@ -227,15 +202,5 @@ def enumerate_queues(mu: Word) -> list[TwoLineQueue]:
                 for chains in itertools.product(
                     *(itertools.permutations(groups[d]) for d in zeros)
                 ):
-                    top = set(self_matched)
-                    matching = [(c, c) for c in self_matched]
-                    for d, chain in zip(zeros, chains):
-                        if not chain:
-                            continue
-                        top.add(d)
-                        matching.append((d, chain[0]))
-                        for a, b in zip(chain, chain[1:]):
-                            top.add(a)
-                            matching.append((a, b))
-                    out.append(TwoLineQueue.make(mu.n, top, bottom, matching))
+                    out.append(_from_chains(mu.n, bottom, self_matched, dict(zip(zeros, chains))))
     return out

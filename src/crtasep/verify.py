@@ -43,16 +43,6 @@ from .weights import (
     wt_qtx_ordered,
 )
 
-SUITES = (
-    "markov",
-    "recurrence",
-    "numeric-trace",
-    "relations",
-    "bijection",
-    "symmetries",
-    "specialization",
-)
-
 _T_VALUES = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 
 
@@ -60,6 +50,11 @@ def _words_up_to(bound_n: int, n_min: int = 1):
     for n in range(n_min, bound_n + 1):
         for letters in itertools.product((0, 1, 2), repeat=n):
             yield Word(letters)
+
+
+def _instances_words(bound_n: int, seed: int):
+    """One instance per word: the bijection and specialization suites."""
+    return [(str(mu),) for mu in _words_up_to(bound_n)]
 
 
 def _partitions_up_to(bound_n: int):
@@ -165,10 +160,7 @@ def _instances_numeric_trace(bound_n: int, seed: int):
     for mu in _words_up_to(bound_n):
         for _ in range(3):
             # q0, t0 in (0,1) keeps |q0 t0^r| < 1, inside the convergence region
-            q0 = _rand_fraction(rng)
-            t0 = _rand_fraction(rng)
-            xs = tuple(str(Fraction(rng.randint(50, 150), 100)) for _ in range(mu.n))
-            out.append((str(mu), str(q0), str(t0), xs))
+            out.append((str(mu), *_rand_point(rng, mu.n)))
     return out
 
 
@@ -215,10 +207,6 @@ def _check_relations(instance):
 
 
 # -- suite: bijection --------------------------------------------------------
-
-
-def _instances_bijection(bound_n: int, seed: int):
-    return [(str(mu),) for mu in _words_up_to(bound_n)]
 
 
 def _check_bijection(instance):
@@ -288,10 +276,6 @@ def _check_symmetries(instance):
 # -- suite: specialization ---------------------------------------------------
 
 
-def _instances_specialization(bound_n: int, seed: int):
-    return [(str(mu),) for mu in _words_up_to(bound_n)]
-
-
 def _check_specialization(instance):
     mu = Word.from_string(instance[0])
     direct = tab_t(mu)
@@ -310,10 +294,11 @@ _SUITE_FUNCS = {
     "recurrence": (_instances_recurrence, _check_recurrence),
     "numeric-trace": (_instances_numeric_trace, _check_numeric_trace),
     "relations": (_instances_relations, _check_relations),
-    "bijection": (_instances_bijection, _check_bijection),
+    "bijection": (_instances_words, _check_bijection),
     "symmetries": (_instances_symmetries, _check_symmetries),
-    "specialization": (_instances_specialization, _check_specialization),
+    "specialization": (_instances_words, _check_specialization),
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def _check_one(task):

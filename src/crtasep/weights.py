@@ -252,13 +252,10 @@ def omega(lam: Word) -> RatFunc:
     return out
 
 
-def macdonald_E(lam: Word, require_partition: bool = True) -> QtxExpr:
+def macdonald_E(lam: Word) -> QtxExpr:
     """The nonsymmetric Macdonald polynomial of a partition in {0,1,2}^n,
-    as the tableau sum.  With require_partition unset the same sum is
-    returned for any word, but it is then only the tableau generating
-    function, not E."""
-    if require_partition:
-        lam.require_partition()
+    as the tableau sum."""
+    lam.require_partition()
     return tab_qtx(lam)
 
 

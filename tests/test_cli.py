@@ -1,11 +1,17 @@
 """The command-line front end: formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtasep.algebra import canonical_string, from_json, parse
 from crtasep.cli import main
 from crtasep.combinatorics import Word
 from crtasep.queues import TwoLineQueue, queue_type
+from crtasep.verify import SUITES
 from crtasep.weights import macdonald_E, tab_qtx
 
 
@@ -130,3 +136,79 @@ def test_verify_small_bounds(capsys):
         code, out, _ = run(capsys, "verify", suite, "3", "7")
         assert code == 0, suite
         assert json.loads(out)["failures"] == []
+
+
+def test_long_states_word_needs_no_recursion(capsys):
+    code, out, err = run(capsys, "states", "1100", "0", "0")
+    assert code == 0 and out == "0" * 1100 + "\n" and err == ""
+
+
+def test_word_too_long_for_the_recurrence_exits_3(capsys):
+    code, out, err = run(capsys, "trace", "0" * 1100)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "too long" in err and "Traceback" not in err
+
+
+COMMANDS = (
+    "states", "tab-t", "tab-qtx", "prob", "partition",
+    "macdonald-e", "macdonald-p", "queues", "trace", "verify",
+)
+NAMES = st.sampled_from(COMMANDS + SUITES + ("all",))
+WORDS = st.text("012", min_size=1, max_size=5) | st.text("012x3- /", max_size=5)
+INTS = st.integers(-3, 2).map(str)
+RATIONALS = st.tuples(st.integers(-3, 3), st.integers(0, 4)).map(lambda p: f"{p[0]}/{p[1]}")
+OPTIONS = {
+    "--json": st.just(["--json"]),
+    "-h": st.just(["-h"]),
+    "--at-t": st.tuples(st.just("--at-t"), RATIONALS).map(list),
+    "--numeric": st.tuples(st.just("--numeric"), RATIONALS, RATIONALS).map(list),
+    "--trunc": st.tuples(st.just("--trunc"), INTS).map(list),
+    "--x": st.lists(RATIONALS, min_size=1, max_size=6).map(lambda xs: ["--x", *xs]),
+}
+OWN_OPTIONS = {"prob": ("--at-t",), "trace": ("--numeric", "--trunc", "--x")}
+JUNK = st.one_of(NAMES, WORDS, INTS, RATIONALS)
+
+
+@st.composite
+def argvs(draw):
+    """A command with positionals and options mostly of the right kind,
+    and one time in four a stray token of any kind in each place."""
+    command = draw(st.sampled_from(COMMANDS))
+    stray = st.integers(0, 3).map(lambda i: i == 0)
+    if command in ("states", "partition"):
+        kinds = [INTS, INTS, INTS]
+    elif command == "verify":
+        kinds = [st.sampled_from(SUITES + ("all",)), INTS, INTS]
+    else:
+        kinds = [WORDS]
+    argv = [command] + [draw(JUNK if draw(stray) else kind) for kind in kinds]
+    for _ in range(draw(st.integers(0, 3))):
+        own = ("--json", "-h") + OWN_OPTIONS.get(command, ())
+        argv += draw(OPTIONS[draw(st.sampled_from(tuple(OPTIONS) if draw(stray) else own))])
+    if draw(stray):
+        argv.append(draw(JUNK))
+    return _cheap(argv)
+
+
+def _cheap(argv):
+    """States, partition and verify take minutes on counts or a bound
+    above 2 (a word such as 12 parses as one); cap them."""
+    if argv[0] not in ("states", "partition", "verify"):
+        return argv
+    out = []
+    for token in argv:
+        try:
+            out.append("2" if int(token) > 2 else token)
+        except ValueError:
+            out.append(token)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(argvs())
+def test_any_argv_exits_with_a_defined_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv

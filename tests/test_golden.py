@@ -1,6 +1,7 @@
 """Byte-for-byte guard on canonical output: sha256 digests of tab_qtx,
-tab_t and both peeling strategies of the trace recurrence on every word
-with n <= 5, recorded from a commit whose answers were trusted.
+tab_t, both peeling strategies of the trace recurrence, and the two-line
+queues of a type with their weights, on every word with n <= 5, recorded
+from a commit whose answers were trusted.
 
 Re-record (only when the canonical form changes on purpose) from the
 repository root with
@@ -18,6 +19,7 @@ from pathlib import Path
 from crtasep.algebra import canonical_string, ratfunc_string
 from crtasep.combinatorics import Word
 from crtasep.oracles.recurrence import trace_by_recurrence
+from crtasep.queues import enumerate_queues, queue_weight
 from crtasep.weights import tab_qtx, tab_t
 
 GOLDEN = Path(__file__).parent / "data" / "golden_n5.json"
@@ -33,6 +35,13 @@ def digests(word: str) -> dict[str, str]:
     out = {
         "tab_qtx": _sha(canonical_string(tab_qtx(mu))),
         "tab_t": _sha(ratfunc_string(tab_t(mu))),
+        "queues": _sha(
+            "".join(
+                json.dumps(q.to_json_dict(), separators=(",", ":")) + "\n"
+                + canonical_string(queue_weight(q)) + "\n"
+                for q in enumerate_queues(mu)
+            )
+        ),
     }
     if mu.k >= 1:
         for s in ("max", "min"):

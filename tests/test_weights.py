@@ -213,8 +213,6 @@ def test_macdonald_e_small():
     assert macdonald_E(W("20")) == parse("x1^2+q*(1-t)/(1-q*t)*x1*x2")
     with pytest.raises(NotAPartition):
         macdonald_E(W("201021"))
-    # non-partitions allowed when the check is waived: plain tableau sum
-    assert macdonald_E(W("201021"), require_partition=False) == tab_qtx(W("201021"))
 
 
 def test_macdonald_p_values():
