@@ -18,7 +18,6 @@ from .ratfunc import (
     qt_bracket,
     qt_factorial,
     qt_factorial_ratio,
-    ratfunc_sum,
     t_bracket,
     t_factorial,
     t_factorial_ratio,
@@ -39,7 +38,6 @@ __all__ = [
     "qt_factorial",
     "qt_factorial_ratio",
     "qtx_sum",
-    "ratfunc_sum",
     "ratfunc_string",
     "t_bracket",
     "t_factorial",

@@ -119,9 +119,10 @@ class MultiPoly:
     def leading_coeff(self) -> Fraction:
         return self.terms[self.leading_key()]
 
-    def sorted_terms(self, reverse: bool = True) -> list[tuple[Key, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Key, Fraction]]:
+        """The terms in descending graded-lex order."""
         w = self.nvars
-        return sorted(self.terms.items(), key=lambda kv: order_key(kv[0], w), reverse=reverse)
+        return sorted(self.terms.items(), key=lambda kv: order_key(kv[0], w), reverse=True)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -244,18 +245,6 @@ class MultiPoly:
         for (eq, et, xe), c in self.terms.items():
             key = (0, et, xe)
             s = terms.get(key, _ZERO) + c * q0**eq
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        return MultiPoly(terms)
-
-    def x_to_one(self) -> "MultiPoly":
-        """Substitute 1 for every x variable."""
-        terms: dict[Key, Fraction] = {}
-        for (eq, et, _xe), c in self.terms.items():
-            key = (eq, et, ())
-            s = terms.get(key, _ZERO) + c
             if s:
                 terms[key] = s
             else:

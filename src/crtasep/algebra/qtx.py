@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 from ..errors import ParseError
 from .poly import MultiPoly, _mul_xs, _trim, order_key
-from .ratfunc import RatFunc, add_over_den, sum_over_dens
+from .ratfunc import RatFunc
 
 _ONE = Fraction(1)
 
@@ -56,10 +56,10 @@ class QtxExpr:
 
     @staticmethod
     def from_multipoly(p: MultiPoly) -> "QtxExpr":
-        grouped: dict[tuple[int, ...], MultiPoly] = {}
+        grouped: dict[tuple[int, ...], dict] = {}
         for (eq, et, xs), c in p.terms.items():
-            grouped[xs] = grouped.get(xs, MultiPoly.zero()) + MultiPoly.monomial(eq, et, (), c)
-        return QtxExpr({xs: RatFunc(qt) for xs, qt in grouped.items()})
+            grouped.setdefault(xs, {})[eq, et, ()] = c
+        return QtxExpr({xs: RatFunc(MultiPoly(terms)) for xs, terms in grouped.items()})
 
     # -- structure --------------------------------------------------------
 
@@ -242,12 +242,15 @@ class QtxExpr:
 
 def qtx_sum(exprs) -> QtxExpr:
     """Sum many expressions, accumulating polynomial numerators per
-    (x-monomial, denominator) so each coefficient is reduced once."""
+    (x-monomial, denominator) so each distinct denominator is reduced once."""
     groups: dict[tuple[int, ...], dict[MultiPoly, MultiPoly]] = {}
     for e in exprs:
         for xs, c in e.coeffs.items():
-            add_over_den(groups.setdefault(xs, {}), c)
-    return QtxExpr({xs: sum_over_dens(by_den) for xs, by_den in groups.items()})
+            by_den = groups.setdefault(xs, {})
+            by_den[c.den] = by_den[c.den] + c.num if c.den in by_den else c.num
+    return QtxExpr(
+        {xs: sum((RatFunc(num, den) for den, num in by_den.items()), RatFunc.zero()) for xs, by_den in groups.items()}
+    )
 
 
 def _coerce(value):

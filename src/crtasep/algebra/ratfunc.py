@@ -242,29 +242,6 @@ _RF_ONE = RatFunc(MultiPoly.one())
 # ----------------------------------------------------------------------
 
 
-def ratfunc_sum(values) -> RatFunc:
-    """Sum many rational functions, grouping numerators over equal
-    denominators so each distinct denominator is reduced once."""
-    by_den: dict[MultiPoly, MultiPoly] = {}
-    for v in values:
-        add_over_den(by_den, v)
-    return sum_over_dens(by_den)
-
-
-def add_over_den(by_den: dict[MultiPoly, MultiPoly], v: RatFunc) -> None:
-    """Add v's numerator to the running numerator over v's denominator."""
-    acc = by_den.get(v.den)
-    by_den[v.den] = v.num if acc is None else acc + v.num
-
-
-def sum_over_dens(by_den: dict[MultiPoly, MultiPoly]) -> RatFunc:
-    """The sum of num/den over a ``{den: num}`` map, one reduction per den."""
-    total = _RF_ZERO
-    for den, num in by_den.items():
-        total = total + RatFunc(num, den)
-    return total
-
-
 @lru_cache(maxsize=None)
 def t_bracket(i: int) -> MultiPoly:
     """[i]_t = 1 + t + ... + t^(i-1); the empty sum 0 for i = 0."""

@@ -14,6 +14,7 @@ product of two bands, which is what the relation checks use.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from ..combinatorics import Word
 from ..errors import DivergenceError, NoConvergence, RelationViolation
@@ -76,18 +77,20 @@ def sparse_trace(a: Sparse):
     return sum(v for (i, j), v in a.items() if i == j)
 
 
-def _word_matrices(mu: Word, q0, t0, xs, size: int) -> list[Sparse]:
+def _word_matrices(mu: Word, q0, t0, xs, size: int) -> Iterator[Sparse]:
+    """The factors of the product in order, built one at a time: only the
+    running product and the next factor are alive at once."""
     kinds = {0: "A0", 1: "A1", 2: "A2"}
-    mats = [banded_matrix(kinds[a], xs[i], size, q=q0, t=t0) for i, a in enumerate(mu.letters)]
-    mats.append(banded_matrix("S", None, size, q=q0, t=t0))
-    return mats
+    for i, a in enumerate(mu.letters):
+        yield banded_matrix(kinds[a], xs[i], size, q=q0, t=t0)
+    yield banded_matrix("S", None, size, q=q0, t=t0)
 
 
 def product_trace(mu: Word, q0, t0, xs, size: int) -> Fraction:
     """Exact trace of the N-truncation of A_{mu_1}(x_1)...A_{mu_n}(x_n) S."""
     mats = _word_matrices(mu, q0, t0, xs, size)
-    prod = mats[0]
-    for m in mats[1:]:
+    prod = next(mats)
+    for m in mats:
         prod = sparse_mul(prod, m)
     return sparse_trace(prod)
 

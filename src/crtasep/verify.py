@@ -46,8 +46,8 @@ from .weights import (
 _T_VALUES = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
 
 
-def _words_up_to(bound_n: int, n_min: int = 1):
-    for n in range(n_min, bound_n + 1):
+def _words_up_to(bound_n: int):
+    for n in range(1, bound_n + 1):
         for letters in itertools.product((0, 1, 2), repeat=n):
             yield Word(letters)
 
@@ -64,9 +64,9 @@ def _partitions_up_to(bound_n: int):
                 yield Word((2,) * l + (1,) * r + (0,) * (n - l - r))
 
 
-def _rand_fraction(rng: random.Random, lo=1, hi=9) -> Fraction:
-    den = rng.randint(2, hi)
-    num = rng.randint(lo, den - 1)
+def _rand_fraction(rng: random.Random) -> Fraction:
+    den = rng.randint(2, 9)
+    num = rng.randint(1, den - 1)
     return Fraction(num, den)
 
 

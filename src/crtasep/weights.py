@@ -7,8 +7,11 @@ depends only on its label, its arrow columns in label order, and the set U
 of square columns whose arrow sits in a lower row, so the state after each
 row is a map U -> accumulated value.  Row i moves U to U | S for each set S
 of unused square columns, times the sum over the orders of S of one
-ordering's value.  At the end |U| is the arrow count, and each arrow count
-is multiplied once by its factorial ratio [r+l-a]!/[r+l]!.
+ordering's value.  At the end |U| is the arrow count a.  A sector sum (the
+partition function, P_lambda) runs this DP once per word into one shared
+map a -> body: every word of a sector has the same r+l, so each body is
+multiplied once by its factorial ratio [r+l-a]!/[r+l]! and the answer is
+reduced once, not once per word.
 
 The values live in a small coefficient ``Ring``: ``SYMBOLIC`` (q,t,x
 monomials, giving Tab_qtx), ``T_ONLY`` (t-monomials, giving Tab_t) and
@@ -24,13 +27,8 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .algebra.poly import MultiPoly
-from .algebra.qtx import QtxExpr, qtx_sum
-from .algebra.ratfunc import (
-    RatFunc,
-    qt_factorial_ratio,
-    ratfunc_sum,
-    t_factorial_ratio,
-)
+from .algebra.qtx import QtxExpr
+from .algebra.ratfunc import RatFunc, qt_factorial_ratio, t_factorial_ratio
 from .combinatorics import (
     ArrowOrdering,
     Diagram,
@@ -123,34 +121,36 @@ def _row_factor(diagram: Diagram, d: int, cols, below, term):
     return total
 
 
-def _tableau_sum(diagram: Diagram, ring: Ring, tableau: Tableau | None = None):
-    """The sum of weights over every tableau of the diagram (over the one
-    ``tableau`` when given), in the ring: the row-subset DP."""
-    mu = diagram.word
-    states = {frozenset(): 1}
-    for i in range(1, diagram.k + 1):
-        d = diagram.row_label(i)
-        after: dict[frozenset, object] = {}
-        for used, value in states.items():
-            if tableau is not None:
-                choices = [tableau.row_arrow_cols(i)]
-            else:
-                free = [c for c in diagram.square_cols if c not in used]
-                choices = itertools.chain.from_iterable(
-                    itertools.combinations(free, size) for size in range(len(free) + 1)
-                )
-            for cols in choices:
-                # a row without arrows reads no labels: its factor is 1
-                v = value * _row_factor(diagram, d, cols, used, ring.term) if cols else value
-                key = used.union(cols)
-                after[key] = after[key] + v if key in after else v
-        states = after
+def _tableau_sum(diagrams: list[Diagram], ring: Ring, tableau: Tableau | None = None):
+    """The sum of weights over every tableau of the diagrams, which share
+    one r + l (over the one ``tableau`` of a one-diagram list when given),
+    in the ring: one row-subset DP per diagram into one map from arrow
+    count to body, then one factorial ratio per arrow count."""
     by_arr: dict[int, object] = {}
-    for used, value in states.items():
-        v = value * ring.term(0, 0, _fixed_exps(diagram, used))
-        a = len(used)
-        by_arr[a] = by_arr[a] + v if a in by_arr else v
-    rl = mu.r + mu.l
+    for diagram in diagrams:
+        states = {frozenset(): 1}
+        for i in range(1, diagram.k + 1):
+            d = diagram.row_label(i)
+            after: dict[frozenset, object] = {}
+            for used, value in states.items():
+                if tableau is not None:
+                    choices = [tableau.row_arrow_cols(i)]
+                else:
+                    free = [c for c in diagram.square_cols if c not in used]
+                    choices = itertools.chain.from_iterable(
+                        itertools.combinations(free, size) for size in range(len(free) + 1)
+                    )
+                for cols in choices:
+                    # a row without arrows reads no labels: its factor is 1
+                    v = value * _row_factor(diagram, d, cols, used, ring.term) if cols else value
+                    key = used.union(cols)
+                    after[key] = after[key] + v if key in after else v
+            states = after
+        for used, value in states.items():
+            v = value * ring.term(0, 0, _fixed_exps(diagram, used))
+            a = len(used)
+            by_arr[a] = by_arr[a] + v if a in by_arr else v
+    rl = diagrams[0].word.r + diagrams[0].word.l
     return sum(ring.ratio(rl - a, rl) * body for a, body in sorted(by_arr.items()))
 
 
@@ -183,28 +183,28 @@ def wt_qtx_ordered(tableau: Tableau, ordering: ArrowOrdering) -> QtxExpr:
 
 def wt_qtx(tableau: Tableau) -> QtxExpr:
     """The qtx-weight: the factorial ratio times the ordering sum."""
-    return _tableau_sum(tableau.diagram, SYMBOLIC, tableau)
+    return _tableau_sum([tableau.diagram], SYMBOLIC, tableau)
 
 
 def wt_t(tableau: Tableau) -> RatFunc:
     """The t-weight: q and x dropped."""
-    return _tableau_sum(tableau.diagram, T_ONLY, tableau)
+    return _tableau_sum([tableau.diagram], T_ONLY, tableau)
 
 
 def tab_qtx(mu: Word) -> QtxExpr:
     """Sum of qtx-weights over all tableaux of type mu."""
-    return _tableau_sum(build_diagram(mu), SYMBOLIC)
+    return _tableau_sum([build_diagram(mu)], SYMBOLIC)
 
 
 def tab_t(mu: Word) -> RatFunc:
     """Sum of t-weights over all tableaux; computed directly with
     t-brackets (the q = 1, x = 1 specialization of tab_qtx is a test)."""
-    return _tableau_sum(build_diagram(mu), T_ONLY)
+    return _tableau_sum([build_diagram(mu)], T_ONLY)
 
 
 def tab_qtx_eval(mu: Word, q0, t0, xs) -> Fraction:
     """tab_qtx evaluated at exact rationals without symbolic overhead."""
-    return _tableau_sum(build_diagram(mu), point_ring(q0, t0, xs, mu.n))
+    return _tableau_sum([build_diagram(mu)], point_ring(q0, t0, xs, mu.n))
 
 
 def tab_t_eval(mu: Word, t0) -> Fraction:
@@ -217,7 +217,7 @@ def tab_t_eval(mu: Word, t0) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _partition_function_cached(k: int, r: int, l: int) -> RatFunc:
-    return ratfunc_sum(tab_t(mu) for mu in enumerate_states(k, r, l))
+    return _tableau_sum([build_diagram(mu) for mu in enumerate_states(k, r, l)], T_ONLY)
 
 
 def partition_function(k: int, r: int, l: int) -> RatFunc:
@@ -263,4 +263,4 @@ def macdonald_P(lam: Word) -> QtxExpr:
     """The symmetric Macdonald polynomial: the tableau sum over all
     distinct rearrangements of the partition."""
     lam.require_partition()
-    return qtx_sum(tab_qtx(mu) for mu in enumerate_states(lam.k, lam.r, lam.l))
+    return _tableau_sum([build_diagram(mu) for mu in enumerate_states(lam.k, lam.r, lam.l)], SYMBOLIC)

@@ -21,7 +21,6 @@ from crtasep.algebra import (
     qt_factorial,
     qt_factorial_ratio,
     qtx_sum,
-    ratfunc_sum,
     t_bracket,
     t_factorial,
     to_json,
@@ -211,14 +210,6 @@ def test_canonical_sign_convention():
 def test_ratfunc_rejects_x():
     with pytest.raises(ValueError):
         RatFunc(X(1))
-
-
-def test_ratfunc_sum_matches_sequential():
-    rs = [qt_bracket(i) for i in (1, 2, 2, 3)] + [RatFunc.const(Fraction(1, 2))]
-    seq = RatFunc.zero()
-    for r in rs:
-        seq = seq + r
-    assert ratfunc_sum(rs) == seq
 
 
 # -- evaluation, specialisation ------------------------------------------------

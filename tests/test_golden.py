@@ -1,7 +1,8 @@
 """Byte-for-byte guard on canonical output: sha256 digests of tab_qtx,
-tab_t, both peeling strategies of the trace recurrence, and the two-line
-queues of a type with their weights, on every word with n <= 5, recorded
-from a commit whose answers were trusted.
+tab_t, the partition function of the word's sector, macdonald_P (for
+partitions), both peeling strategies of the trace recurrence, and the
+two-line queues of a type with their weights, on every word with n <= 5,
+recorded from a commit whose answers were trusted.
 
 Re-record (only when the canonical form changes on purpose) from the
 repository root with
@@ -20,7 +21,7 @@ from crtasep.algebra import canonical_string, ratfunc_string
 from crtasep.combinatorics import Word
 from crtasep.oracles.recurrence import trace_by_recurrence
 from crtasep.queues import enumerate_queues, queue_weight
-from crtasep.weights import tab_qtx, tab_t
+from crtasep.weights import macdonald_P, partition_function, tab_qtx, tab_t
 
 GOLDEN = Path(__file__).parent / "data" / "golden_n5.json"
 WORDS = ["".join(p) for n in range(1, 6) for p in itertools.product("012", repeat=n)]
@@ -35,6 +36,7 @@ def digests(word: str) -> dict[str, str]:
     out = {
         "tab_qtx": _sha(canonical_string(tab_qtx(mu))),
         "tab_t": _sha(ratfunc_string(tab_t(mu))),
+        "partition": _sha(ratfunc_string(partition_function(mu.k, mu.r, mu.l))),
         "queues": _sha(
             "".join(
                 json.dumps(q.to_json_dict(), separators=(",", ":")) + "\n"
@@ -43,6 +45,8 @@ def digests(word: str) -> dict[str, str]:
             )
         ),
     }
+    if mu.is_partition():
+        out["macdonald_P"] = _sha(canonical_string(macdonald_P(mu)))
     if mu.k >= 1:
         for s in ("max", "min"):
             out[f"trace_{s}"] = _sha(canonical_string(trace_by_recurrence(mu, s)))

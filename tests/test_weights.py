@@ -18,6 +18,7 @@ from crtasep.algebra import (
     RatFunc,
     parse,
     qt_factorial_ratio,
+    qtx_sum,
     t_bracket,
     t_factorial_ratio,
 )
@@ -221,6 +222,21 @@ def test_macdonald_p_values():
     assert macdonald_P(W("000")) == QtxExpr.one()
     with pytest.raises(NotAPartition):
         macdonald_P(W("021"))
+
+
+def test_macdonald_p_is_the_sum_of_tab_qtx_over_the_sector():
+    for text in ("221100", "211000"):
+        lam = W(text)
+        want = qtx_sum(tab_qtx(mu) for mu in enumerate_states(lam.k, lam.r, lam.l))
+        assert macdonald_P(lam) == want
+
+
+def test_partition_function_is_the_sum_of_tab_t_over_the_sector():
+    for k, r, l in ((2, 2, 2), (3, 2, 1)):
+        want = RatFunc.zero()
+        for mu in enumerate_states(k, r, l):
+            want = want + tab_t(mu)
+        assert partition_function(k, r, l) == want
 
 
 def test_macdonald_p_symmetric():
