@@ -449,7 +449,13 @@ def _tp_prem(f, g):
     return f
 
 
-@lru_cache(maxsize=None)
+# Bound on the memoised gcds.  A benchmark pass misses the cache about 440
+# times (qtx-symbolic) or 400 times (law-sweep), so this leaves room for
+# far larger sweeps while the cache cannot grow for the life of a process.
+GCD_CACHE_SIZE = 1 << 13
+
+
+@lru_cache(maxsize=GCD_CACHE_SIZE)
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """gcd in Q[q, t], normalised to integer-primitive with positive
     leading coefficient (graded lex, q > t)."""

@@ -22,7 +22,8 @@ class InvalidRate(ValueError):
 
 
 class SingularSystem(ArithmeticError):
-    """The stationary linear system did not have a one-dimensional kernel."""
+    """The stationary linear system did not have a one-dimensional kernel,
+    or its solution failed the exact check pi P = pi, sum(pi) = 1, pi >= 0."""
 
 
 class DivergenceError(ValueError):

@@ -157,6 +157,15 @@ def test_gcd_absorbs_common_factor(a, b, m):
     assert _associates(g, m * poly_gcd(a, b))
 
 
+def test_gcd_cache_is_bounded():
+    size = poly_gcd.cache_info().maxsize
+    assert size is not None
+    for i in range(size + 100):  # distinct pairs, each a full remainder sequence
+        g = poly_gcd(T() + MultiPoly.const(i + 2), Q() + MultiPoly.const(i + 2))
+        assert g.is_one()
+    assert poly_gcd.cache_info().currsize <= size
+
+
 def _to_sympy(p):
     from sympy import Add, Rational, symbols
 

@@ -1,8 +1,11 @@
-"""The exact Markov oracle against the tableau formula."""
+"""The exact Markov oracle against the tableau formula and against a dense
+Gauss-Jordan solve over every state."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crtasep.combinatorics import Word, enumerate_states
 from crtasep.errors import InvalidRate, SingularSystem
@@ -86,3 +89,130 @@ def test_singular_system_detected():
     broken = TransitionMatrix(states, Fraction(1, 2), eye)
     with pytest.raises(SingularSystem):
         steady_state(broken)
+
+
+def test_steady_state_scales_to_322():
+    # m = 210 states, 30 rotation orbits
+    t0 = Fraction(2, 5)
+    m = build_transition_matrix(3, 2, 2, t0)
+    pi = steady_state(m)
+    assert m.size == 210
+    for idx, mu in enumerate(m.states):
+        assert pi[idx] == stationary_prob(mu).evaluate(1, t0)
+
+
+# -- contract: the quotient solve against a dense solve over every state -----
+
+
+def _dense_steady_state(matrix: TransitionMatrix) -> tuple[Fraction, ...]:
+    """Reference: pi P = pi with one balance equation replaced by
+    sum(pi) = 1, by Gauss-Jordan on the full m x m system; a vanishing
+    pivot means the kernel is not one-dimensional."""
+    m = matrix.size
+    a = [[matrix.rows[mu][nu] - (1 if mu == nu else 0) for mu in range(m)] for nu in range(m)]
+    b = [Fraction(0)] * m
+    a[m - 1] = [Fraction(1)] * m
+    b[m - 1] = Fraction(1)
+    for col in range(m):
+        pivot = next((row for row in range(col, m) if a[row][col] != 0), None)
+        if pivot is None:
+            raise SingularSystem("stationary system is rank deficient")
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        b[col] *= inv
+        for row in range(m):
+            if row != col and a[row][col]:
+                factor = a[row][col]
+                a[row] = [u - factor * v for u, v in zip(a[row], a[col])]
+                b[row] -= factor * b[col]
+    if any(p < 0 for p in b):
+        raise SingularSystem("negative entry in the stationary solution")
+    return tuple(b)
+
+
+def _outcome(solve, matrix):
+    try:
+        return solve(matrix)
+    except SingularSystem:
+        return SingularSystem
+
+
+def _rotate(mu: Word) -> Word:
+    return Word(mu.letters[1:] + mu.letters[:1])
+
+
+def _chain(states, weights) -> TransitionMatrix:
+    """A stochastic matrix over ``states`` from ``{(i, j): positive weight}``;
+    a row without weights stays put."""
+    m = len(states)
+    rows = []
+    for i in range(m):
+        row = [Fraction(weights.get((i, j), 0)) for j in range(m)]
+        total = sum(row)
+        rows.append(tuple(v / total for v in row) if total else tuple(Fraction(int(i == j)) for j in range(m)))
+    return TransitionMatrix(tuple(states), Fraction(1, 2), tuple(rows))
+
+
+sectors = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)).filter(
+    lambda c: 1 <= sum(c) <= 5
+)
+rates = st.fractions(min_value=0, max_value=1, max_denominator=7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sectors, rates)
+def test_quotient_solve_matches_dense_on_ring_chains(counts, t0):
+    m = build_transition_matrix(*counts, t0)
+    assert _outcome(steady_state, m) == _outcome(_dense_steady_state, m)
+
+
+@st.composite
+def random_chains(draw):
+    """Random sparse stochastic rows over one sector's states: usually not
+    rotation-equivariant, sometimes with several closed classes."""
+    states = enumerate_states(*draw(sectors))
+    m = len(states)
+    weights = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+            st.integers(1, 4),
+            max_size=3 * m,
+        )
+    )
+    return _chain(states, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_chains())
+def test_quotient_solve_matches_dense_on_random_chains(m):
+    assert _outcome(steady_state, m) == _outcome(_dense_steady_state, m)
+
+
+def test_transient_state_gets_zero():
+    # 012 feeds the 3-cycle 021 -> 102 -> 210 -> 021 and is never re-entered;
+    # the other states all lead into the cycle
+    states = enumerate_states(1, 1, 1)
+    idx = {str(mu): i for i, mu in enumerate(states)}
+    edges = {("012", "021"): 1, ("012", "012"): 1, ("021", "102"): 1, ("102", "210"): 2,
+             ("102", "102"): 1, ("210", "021"): 1, ("120", "012"): 1, ("201", "210"): 3}
+    m = _chain(states, {(idx[a], idx[b]): w for (a, b), w in edges.items()})
+    pi = steady_state(m)
+    assert pi == _dense_steady_state(m)
+    assert pi[idx["012"]] == 0
+    # 102 is left with probability 2/3, so it holds 3/2 of the others' mass
+    assert [pi[idx[w]] for w in ("021", "102", "210")] == [Fraction(2, 7), Fraction(3, 7), Fraction(2, 7)]
+
+
+def test_equivariant_chain_with_two_closed_classes_is_singular():
+    # each state rotates or stays: the two rotation orbits of 012 and 021
+    # are both closed, and the chain commutes with the shift
+    states = enumerate_states(1, 1, 1)
+    idx = {mu: i for i, mu in enumerate(states)}
+    m = _chain(states, {(idx[mu], idx[_rotate(mu)]): 1 for mu in states} | {(i, i): 1 for i in range(6)})
+    for i, mu in enumerate(states):
+        for j, nu in enumerate(states):
+            assert m.entry(i, j) == m.entry(idx[_rotate(mu)], idx[_rotate(nu)])
+    with pytest.raises(SingularSystem):
+        steady_state(m)

@@ -189,6 +189,16 @@ def test_partition_function_values():
     assert z.evaluate(1, 1) == Fraction(90 * comb(6, 2) * 4, factorial(4))
 
 
+def test_partition_function_is_a_product_of_binomials():
+    # Z_{k,r,l} = P_lambda(1, ..., 1; q = 1, t) = e_{r+l}(1^n) e_l(1^n)
+    # (Macdonald VI.4: P_lambda(x; 1, t) = e_{lambda'}), free of t
+    for n in range(1, 7):
+        for k in range(n + 1):
+            for r in range(n - k + 1):
+                l = n - k - r
+                assert partition_function(k, r, l) == RatFunc.const(comb(n, l) * comb(n, r + l))
+
+
 def test_stationary_probabilities_normalise():
     total = RatFunc.zero()
     for mu in enumerate_states(1, 2, 1):
