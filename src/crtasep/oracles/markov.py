@@ -27,14 +27,14 @@ from ..errors import InvalidRate, SingularSystem
 class TransitionMatrix:
     states: tuple[Word, ...]
     t0: Fraction
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[dict[int, Fraction], ...]  # row i: {column: entry} of its nonzeros
 
     @property
     def size(self) -> int:
         return len(self.states)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
+        return self.rows[i].get(j, Fraction(0))
 
     def index_of(self, mu: Word) -> int:
         return self.states.index(mu)
@@ -53,19 +53,17 @@ def build_transition_matrix(k: int, r: int, l: int, t0) -> TransitionMatrix:
     n = k + r + l
     rows = []
     for mu in states:
-        row = [Fraction(0)] * len(states)
-        off = Fraction(0)
+        row: dict[int, Fraction] = {}
         for p in range(n):
             a, b = mu.letters[p], mu.letters[(p + 1) % n]
             if a == b:
                 continue
             swapped = list(mu.letters)
             swapped[p], swapped[(p + 1) % n] = b, a
-            rate = Fraction(t0, n) if a > b else Fraction(1, n)
-            row[index[Word(tuple(swapped))]] += rate
-            off += rate
-        row[index[mu]] = 1 - off
-        rows.append(tuple(row))
+            j = index[Word(tuple(swapped))]
+            row[j] = row.get(j, 0) + (Fraction(t0, n) if a > b else Fraction(1, n))
+        row[index[mu]] = Fraction(1) - sum(row.values())
+        rows.append({j: v for j, v in row.items() if v})
     return TransitionMatrix(tuple(states), t0, tuple(rows))
 
 
@@ -89,7 +87,7 @@ def steady_state(matrix: TransitionMatrix) -> tuple[Fraction, ...]:
        full chain, and a negative entry is rejected; either failure raises
        `SingularSystem`."""
     m = matrix.size
-    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix.rows]
+    rows = matrix.rows
     if not _one_closed_class(rows):
         raise SingularSystem("the chain has more than one closed class")
     orbits = _rotation_orbits(matrix.states, rows)
@@ -173,7 +171,7 @@ def _one_closed_class(succ: Sequence[Iterable[int]]) -> bool:
     return len(reached) == m
 
 
-def _rotation_orbits(states: tuple[Word, ...], rows: list[dict[int, Fraction]]) -> list[list[int]]:
+def _rotation_orbits(states: tuple[Word, ...], rows: Sequence[dict[int, Fraction]]) -> list[list[int]]:
     """Index lists of the cyclic-shift orbits of ``states`` when the shift
     permutes them and preserves every nonzero entry of ``rows`` (so it is
     an automorphism of the chain); singletons otherwise."""

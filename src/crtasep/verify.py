@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .algebra.poly import MultiPoly
-from .algebra.qtx import qtx_sum
+from .algebra.qtx import QtxExpr, qtx_sum
 from .algebra.ratfunc import RatFunc, qt_factorial_ratio, t_factorial_ratio
 from .combinatorics import (
     Word,
@@ -36,6 +36,7 @@ from .oracles.recurrence import trace_by_recurrence, trace_rec_eval
 from .queues import crt_to_queue, enumerate_queues, queue_to_crt, queue_weight
 from .weights import (
     macdonald_P,
+    partition_function,
     stationary_prob,
     tab_qtx,
     tab_qtx_eval,
@@ -270,7 +271,19 @@ def _check_symmetries(instance):
         for i in range(1, mu.n):
             if poly.swap_x(i) != poly:
                 return {"instance": list(instance), "error": f"not symmetric in x{i}, x{i+1}"}
+        # P_lambda(x; 1, t) = e_{lambda'}(x), lambda' = (r+l, l) (Macdonald VI §4)
+        at_q1 = poly.specialize(q_to=1)
+        if at_q1 != _elementary(mu.r + mu.l, mu.n) * _elementary(mu.l, mu.n):
+            return {"instance": list(instance), "error": "P at q=1 is not e_{r+l} e_l"}
+        if at_q1.specialize(x_to_one=True).as_ratfunc() != partition_function(mu.k, mu.r, mu.l):
+            return {"instance": list(instance), "error": "P at q=1, x=1 is not the partition function"}
     return None
+
+
+def _elementary(j: int, n: int) -> QtxExpr:
+    """e_j(x_1, ..., x_n)."""
+    one = RatFunc.one()
+    return QtxExpr({tuple(int(i in s) for i in range(n)): one for s in itertools.combinations(range(n), j)})
 
 
 # -- suite: specialization ---------------------------------------------------

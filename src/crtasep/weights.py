@@ -7,11 +7,11 @@ depends only on its label, its arrow columns in label order, and the set U
 of square columns whose arrow sits in a lower row, so the state after each
 row is a map U -> accumulated value.  Row i moves U to U | S for each set S
 of unused square columns, times the sum over the orders of S of one
-ordering's value.  At the end |U| is the arrow count a.  A sector sum (the
-partition function, P_lambda) runs this DP once per word into one shared
-map a -> body: every word of a sector has the same r+l, so each body is
-multiplied once by its factorial ratio [r+l-a]!/[r+l]! and the answer is
-reduced once, not once per word.
+ordering's value.  At the end |U| is the arrow count a.  P_lambda, a sector
+sum, runs this DP once per word into one shared map a -> body: every word of
+a sector has the same r+l, so each body is multiplied once by its factorial
+ratio [r+l-a]!/[r+l]! and the answer is reduced once.  The partition
+function needs no tableaux: it is the product C(n, r+l) C(n, l).
 
 The values live in a small coefficient ``Ring``: ``SYMBOLIC`` (q,t,x
 monomials, giving Tab_qtx), ``T_ONLY`` (t-monomials, giving Tab_t) and
@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Callable, NamedTuple
 
 from .algebra.poly import MultiPoly
@@ -41,9 +42,6 @@ from .combinatorics import (
     recoils,
     row_reading,
 )
-
-_ONE = Fraction(1)
-
 
 class Ring(NamedTuple):
     """The coefficient ring of a tableau or trace sum.  Values of ``term``
@@ -85,7 +83,7 @@ def point_ring(q0, t0, xs, n: int) -> Ring:
 
     def ratio(a: int, b: int) -> Fraction:
         if (a, b) not in ratios:
-            v = _ONE
+            v = Fraction(1)
             for j in range(a + 1, b + 1):
                 v /= (1 - q0 * t0**j) / (1 - t0)
             ratios[a, b] = v
@@ -207,23 +205,24 @@ def tab_qtx_eval(mu: Word, q0, t0, xs) -> Fraction:
     return _tableau_sum([build_diagram(mu)], point_ring(q0, t0, xs, mu.n))
 
 
-def tab_t_eval(mu: Word, t0) -> Fraction:
-    ones = (_ONE,) * mu.n
-    return tab_qtx_eval(mu, 1, t0, ones)
-
-
 # -- partition function and the stationary law ------------------------------
 
 
+# The closed form needs no cache; this name and its lru_cache stay only
+# because bench/child.py and bench/layers.py read its cache_info().
 @lru_cache(maxsize=None)
 def _partition_function_cached(k: int, r: int, l: int) -> RatFunc:
-    return _tableau_sum([build_diagram(mu) for mu in enumerate_states(k, r, l)], T_ONLY)
+    return RatFunc.const(comb(k + r + l, l) * comb(k + r + l, r + l))
 
 
 def partition_function(k: int, r: int, l: int) -> RatFunc:
-    """Sum of tab_t over all states with the given species counts."""
-    if k + r + l < 1:
-        raise ValueError("need at least one site")
+    """Z_{k,r,l} = the sum of tab_t over the sector = P_lambda(1^n; q=1, t)
+    = C(n, r+l) C(n, l), free of t, as P_lambda(x; 1, t) = e_{lambda'}(x)
+    (Macdonald, Symmetric Functions and Hall Polynomials, VI §4).  Guarded by
+    tests/test_weights.py::test_partition_function_is_a_product_of_binomials
+    (the sector sum) and the ``symmetries`` verify suite."""
+    if min(k, r, l) < 0 or k + r + l < 1:
+        raise ValueError("need nonnegative counts summing to at least 1")
     return _partition_function_cached(k, r, l)
 
 

@@ -66,6 +66,12 @@ def test_partition_function(capsys):
     assert code == 0 and out.strip() == "(6)"
 
 
+def test_partition_negative_count_exits_2(capsys):
+    code, out, err = run(capsys, "partition", "-1", "2", "1")
+    assert code == 2 and out == ""
+    assert "need nonnegative counts summing to at least 1" in err
+
+
 def test_bad_word_exits_2(capsys):
     code, _, err = run(capsys, "tab-t", "0x2")
     assert code == 2 and "error" in err

@@ -30,8 +30,8 @@ def test_rows_are_stochastic():
     for counts in [(1, 1, 1), (2, 1, 1), (0, 2, 2), (2, 0, 2)]:
         m = build_transition_matrix(*counts, HALF)
         for row in m.rows:
-            assert sum(row) == 1
-            assert all(v >= 0 for v in row)
+            assert sum(row.values()) == 1
+            assert all(v > 0 for v in row.values())  # only nonzeros are stored
 
 
 def test_off_diagonal_rates_for_n_at_least_3():
@@ -39,7 +39,7 @@ def test_off_diagonal_rates_for_n_at_least_3():
     n = 4
     allowed = {Fraction(0), Fraction(1, 3) / n, Fraction(1, n)}
     for i, row in enumerate(m.rows):
-        for j, v in enumerate(row):
+        for j, v in row.items():
             if i != j:
                 assert v in allowed
 
@@ -83,9 +83,7 @@ def test_steady_state_matches_tableau_formula():
 def test_singular_system_detected():
     # two disconnected absorbing states: kernel dimension 2
     states = tuple(enumerate_states(1, 0, 1))
-    eye = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(2)) for i in range(2)
-    )
+    eye = ({0: Fraction(1)}, {1: Fraction(1)})
     broken = TransitionMatrix(states, Fraction(1, 2), eye)
     with pytest.raises(SingularSystem):
         steady_state(broken)
@@ -109,7 +107,7 @@ def _dense_steady_state(matrix: TransitionMatrix) -> tuple[Fraction, ...]:
     sum(pi) = 1, by Gauss-Jordan on the full m x m system; a vanishing
     pivot means the kernel is not one-dimensional."""
     m = matrix.size
-    a = [[matrix.rows[mu][nu] - (1 if mu == nu else 0) for mu in range(m)] for nu in range(m)]
+    a = [[matrix.entry(mu, nu) - (1 if mu == nu else 0) for mu in range(m)] for nu in range(m)]
     b = [Fraction(0)] * m
     a[m - 1] = [Fraction(1)] * m
     b[m - 1] = Fraction(1)
@@ -144,14 +142,14 @@ def _rotate(mu: Word) -> Word:
 
 
 def _chain(states, weights) -> TransitionMatrix:
-    """A stochastic matrix over ``states`` from ``{(i, j): positive weight}``;
-    a row without weights stays put."""
+    """A stochastic matrix over ``states`` from ``{(i, j): positive weight}``,
+    as sparse rows; a row without weights stays put."""
     m = len(states)
     rows = []
     for i in range(m):
-        row = [Fraction(weights.get((i, j), 0)) for j in range(m)]
-        total = sum(row)
-        rows.append(tuple(v / total for v in row) if total else tuple(Fraction(int(i == j)) for j in range(m)))
+        row = {j: Fraction(weights[i, j]) for j in range(m) if (i, j) in weights}
+        total = sum(row.values())
+        rows.append({j: v / total for j, v in row.items()} if total else {i: Fraction(1)})
     return TransitionMatrix(tuple(states), Fraction(1, 2), tuple(rows))
 
 

@@ -41,7 +41,6 @@ from crtasep.weights import (
     tab_qtx,
     tab_qtx_eval,
     tab_t,
-    tab_t_eval,
     wt_qtx,
     wt_qtx_ordered,
     wt_t,
@@ -172,7 +171,7 @@ def test_numeric_twins_match_symbolic():
     q0, t0 = Fraction(2, 7), Fraction(3, 5)
     xs = tuple(Fraction(i + 1, 2) for i in range(6))
     assert tab_qtx_eval(mu, q0, t0, xs) == tab_qtx(mu).evaluate(q0, t0, xs)
-    assert tab_t_eval(mu, t0) == tab_t(mu).evaluate(1, t0)
+    assert tab_qtx_eval(mu, 1, t0, (1,) * mu.n) == tab_t(mu).evaluate(1, t0)
     for wrong in (xs[:5], xs + (Fraction(1),)):
         with pytest.raises(ValueError, match="need 6 x-values"):
             tab_qtx_eval(mu, q0, t0, wrong)
@@ -190,13 +189,23 @@ def test_partition_function_values():
 
 
 def test_partition_function_is_a_product_of_binomials():
-    # Z_{k,r,l} = P_lambda(1, ..., 1; q = 1, t) = e_{r+l}(1^n) e_l(1^n)
+    # the paper's Z, the sum of tab_t over the sector, against the closed
+    # form: Z_{k,r,l} = P_lambda(1, ..., 1; q = 1, t) = e_{r+l}(1^n) e_l(1^n)
     # (Macdonald VI.4: P_lambda(x; 1, t) = e_{lambda'}), free of t
     for n in range(1, 7):
         for k in range(n + 1):
             for r in range(n - k + 1):
                 l = n - k - r
-                assert partition_function(k, r, l) == RatFunc.const(comb(n, l) * comb(n, r + l))
+                total = RatFunc.zero()
+                for mu in enumerate_states(k, r, l):
+                    total = total + tab_t(mu)
+                assert total == partition_function(k, r, l) == RatFunc.const(comb(n, l) * comb(n, r + l))
+
+
+def test_partition_function_rejects_negative_counts():
+    for counts in ((-1, 2, 1), (2, -1, 1), (1, 2, -3), (0, 0, 0)):
+        with pytest.raises(ValueError, match="need nonnegative counts summing to at least 1"):
+            partition_function(*counts)
 
 
 def test_stationary_probabilities_normalise():
@@ -239,14 +248,6 @@ def test_macdonald_p_is_the_sum_of_tab_qtx_over_the_sector():
         lam = W(text)
         want = qtx_sum(tab_qtx(mu) for mu in enumerate_states(lam.k, lam.r, lam.l))
         assert macdonald_P(lam) == want
-
-
-def test_partition_function_is_the_sum_of_tab_t_over_the_sector():
-    for k, r, l in ((2, 2, 2), (3, 2, 1)):
-        want = RatFunc.zero()
-        for mu in enumerate_states(k, r, l):
-            want = want + tab_t(mu)
-        assert partition_function(k, r, l) == want
 
 
 def test_macdonald_p_symmetric():
