@@ -1,13 +1,14 @@
-"""Sparse exact polynomials in q, t, x1..xn with rational coefficients.
+"""Sparse exact polynomials in q, t, x1..xn with integer coefficients.
 
 A monomial is keyed by ``(e_q, e_t, xs)`` where ``xs`` is a tuple of
 exponents for x1, x2, ... with trailing zeros removed.  The monomial order
 used everywhere (serialisation, leading terms, gcd) is graded lexicographic
 with q > t > x1 > x2 > ...
 
-``poly_gcd`` (q and t only) converts both sides once to integer rows, a
-polynomial in t with Z[q] coefficients, and runs one primitive remainder
-sequence on them; ``poly_divexact`` is exact long division.
+A rational constant is a ``RatFunc``, a quotient of two integer constants.
+``poly_gcd`` (q and t only) reads both sides as integer rows, a polynomial
+in t with Z[q] coefficients, and runs one primitive remainder sequence on
+them; ``poly_divexact`` is exact long division in Z[q, t].
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 Key = tuple  # (e_q, e_t, tuple_of_x_exponents)
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _trim(xs: Iterable[int]) -> tuple[int, ...]:
@@ -39,18 +37,18 @@ def order_key(key: Key, width: int) -> tuple:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial over the rationals."""
+    """Immutable sparse polynomial over the integers."""
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[Key, Fraction] | None = None):
-        clean: dict[Key, Fraction] = {}
+    def __init__(self, terms: Mapping[Key, int] | None = None):
+        clean: dict[Key, int] = {}
         if terms:
             for (eq, et, xs), c in terms.items():
-                if c == 0:
-                    continue
-                c = c if isinstance(c, Fraction) else Fraction(c)
-                clean[(eq, et, _trim(xs))] = c
+                if not isinstance(c, int):
+                    raise TypeError(f"polynomial coefficients are integers, not {c!r}")
+                if c:
+                    clean[(eq, et, _trim(xs))] = c
         self.terms = clean
         self._hash: int | None = None
 
@@ -66,15 +64,15 @@ class MultiPoly:
 
     @staticmethod
     def const(c) -> "MultiPoly":
-        return MultiPoly({(0, 0, ()): Fraction(c)})
+        return MultiPoly({(0, 0, ()): c})
 
     @staticmethod
     def q(power: int = 1) -> "MultiPoly":
-        return MultiPoly({(power, 0, ()): _ONE})
+        return MultiPoly({(power, 0, ()): 1})
 
     @staticmethod
     def t(power: int = 1) -> "MultiPoly":
-        return MultiPoly({(0, power, ()): _ONE})
+        return MultiPoly({(0, power, ()): 1})
 
     @staticmethod
     def x(index: int, power: int = 1) -> "MultiPoly":
@@ -82,11 +80,11 @@ class MultiPoly:
         if index < 1:
             raise ValueError("x variables are 1-based")
         xs = (0,) * (index - 1) + (power,)
-        return MultiPoly({(0, 0, xs): _ONE})
+        return MultiPoly({(0, 0, xs): 1})
 
     @staticmethod
     def monomial(eq: int, et: int, xs: Iterable[int], coeff=1) -> "MultiPoly":
-        return MultiPoly({(eq, et, tuple(xs)): Fraction(coeff)})
+        return MultiPoly({(eq, et, tuple(xs)): coeff})
 
     # -- queries ------------------------------------------------------
 
@@ -94,7 +92,7 @@ class MultiPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0, 0, ()): _ONE}
+        return self.terms == {(0, 0, ()): 1}
 
     def has_x(self) -> bool:
         return any(key[2] for key in self.terms)
@@ -116,10 +114,10 @@ class MultiPoly:
         w = self.nvars
         return max(self.terms, key=lambda k: order_key(k, w))
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> int:
         return self.terms[self.leading_key()]
 
-    def sorted_terms(self) -> list[tuple[Key, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Key, int]]:
         """The terms in descending graded-lex order."""
         w = self.nvars
         return sorted(self.terms.items(), key=lambda kv: order_key(kv[0], w), reverse=True)
@@ -149,7 +147,7 @@ class MultiPoly:
             return self
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            s = terms.get(key, _ZERO) + c
+            s = terms.get(key, 0) + c
             if s:
                 terms[key] = s
             else:
@@ -185,11 +183,11 @@ class MultiPoly:
             return NotImplemented
         if not self.terms or not other.terms:
             return _POLY_ZERO
-        prod: dict[Key, Fraction] = {}
+        prod: dict[Key, int] = {}
         for (aq, at, axs), ac in self.terms.items():
             for (bq, bt, bxs), bc in other.terms.items():
                 key = (aq + bq, at + bt, _mul_xs(axs, bxs))
-                s = prod.get(key, _ZERO) + ac * bc
+                s = prod.get(key, 0) + ac * bc
                 if s:
                     prod[key] = s
                 else:
@@ -213,12 +211,12 @@ class MultiPoly:
             n >>= 1
         return result
 
-    def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        if not c:
-            return _POLY_ZERO
+    def divide_content(self, c: int) -> "MultiPoly":
+        """The quotient by a nonzero integer c that divides every coefficient."""
+        if c == 1:
+            return self
         out = MultiPoly.__new__(MultiPoly)
-        out.terms = {k: v * c for k, v in self.terms.items()}
+        out.terms = {k: v // c for k, v in self.terms.items()}
         out._hash = None
         return out
 
@@ -227,7 +225,7 @@ class MultiPoly:
     def evaluate(self, q0, t0, xs: tuple = ()) -> Fraction:
         q0, t0 = Fraction(q0), Fraction(t0)
         xs = tuple(Fraction(v) for v in xs)
-        total = _ZERO
+        total = Fraction(0)
         for (eq, et, xe), c in self.terms.items():
             if len(xe) > len(xs):
                 raise ValueError(f"need {len(xe)} x-values, got {len(xs)}")
@@ -238,17 +236,15 @@ class MultiPoly:
             total += v
         return total
 
-    def subs_q(self, q0) -> "MultiPoly":
-        """Substitute a rational value for q."""
+    def subs_q(self, q0, d: int) -> "MultiPoly":
+        """b^d * P(a/b, t, x) for q0 = a/b in lowest terms; d must be at
+        least the q-degree, so the result has integer coefficients."""
         q0 = Fraction(q0)
-        terms: dict[Key, Fraction] = {}
+        a, b = q0.numerator, q0.denominator
+        terms: dict[Key, int] = {}
         for (eq, et, xe), c in self.terms.items():
             key = (0, et, xe)
-            s = terms.get(key, _ZERO) + c * q0**eq
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
+            terms[key] = terms.get(key, 0) + c * a**eq * b ** (d - eq)
         return MultiPoly(terms)
 
     def t_reversed(self) -> "MultiPoly":
@@ -265,7 +261,7 @@ class MultiPoly:
 def _coerce(value) -> MultiPoly:
     if isinstance(value, MultiPoly):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return MultiPoly.const(value)
     return NotImplemented
 
@@ -281,19 +277,18 @@ def _mul_xs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 _POLY_ZERO = MultiPoly()
-_POLY_ONE = MultiPoly({(0, 0, ()): _ONE})
+_POLY_ONE = MultiPoly({(0, 0, ()): 1})
 
 
 # ----------------------------------------------------------------------
-# gcd and exact division in Q[q, t]
+# gcd and exact division in Z[q, t]
 #
 # Bivariate polynomials are handled as polynomials in t whose coefficients
-# are univariate polynomials in q.  Inputs are rescaled to integer
-# coefficients once, so the primitive polynomial remainder sequences run on
-# machine/big ints rather than Fractions.  The weight denominators are
+# are univariate polynomials in q, so the primitive polynomial remainder
+# sequences run on machine/big ints.  The weight denominators are
 # products of q,t-brackets (1 - q t^i), (1 - t) and t-brackets [j]_t, so
-# degrees stay small.  Tuples here, argument tuples of ``math.gcd`` and
-# ``math.lcm`` included, are built from lists, not generators: CPython
+# degrees stay small.  Tuples here, argument tuples of ``math.gcd``
+# included, are built from lists, not generators: CPython
 # resizes a tuple it builds from a generator, and the resized tuples pile up
 # on its tuple free lists (measured: about 1 MB more peak RSS over
 # the stationary laws of sectors (3,3,2) and (3,2,2)).
@@ -384,16 +379,15 @@ def _zq_divexact(a, b):
 
 
 def _poly_to_zrows(p: MultiPoly) -> list[tuple[int, ...]]:
-    """Integer t-major coefficient rows (any positive rational rescale)."""
+    """Integer t-major coefficient rows."""
     if p.has_x():
         raise ValueError("gcd is only defined for polynomials in q and t")
-    mult = math.lcm(*[c.denominator for c in p.terms.values()])
     rows: list[list[int]] = [[] for _ in range(p.degree_t() + 1)]
     for (eq, et, _), c in p.terms.items():
         row = rows[et]
         if len(row) <= eq:
             row.extend([0] * (eq + 1 - len(row)))
-        row[eq] = c.numerator * (mult // c.denominator)
+        row[eq] = c
     return [_zq_trim(r) for r in rows]
 
 
@@ -402,7 +396,7 @@ def _zrows_to_poly(rows) -> MultiPoly:
     for et, row in enumerate(rows):
         for eq, c in enumerate(row):
             if c:
-                terms[(eq, et, ())] = Fraction(c)
+                terms[(eq, et, ())] = c
     return MultiPoly(terms)
 
 
@@ -457,8 +451,8 @@ GCD_CACHE_SIZE = 1 << 13
 
 @lru_cache(maxsize=GCD_CACHE_SIZE)
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """gcd in Q[q, t], normalised to integer-primitive with positive
-    leading coefficient (graded lex, q > t)."""
+    """gcd in Q[q, t], normalised to a primitive polynomial of Z[q, t] with
+    positive leading coefficient (graded lex, q > t)."""
     if a.is_zero():
         return _gcd_normalise(b)
     if b.is_zero():
@@ -487,22 +481,22 @@ def _gcd_with_monomial(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return MultiPoly.monomial(eq, et, ())
 
 
-def normalising_scale(lead: MultiPoly, *others: MultiPoly) -> Fraction:
-    """The rational s that makes ``lead`` and ``others``, all scaled by s,
-    integer polynomials with joint content 1 and ``lead``'s leading
-    coefficient positive."""
-    coeffs = [c for p in (lead, *others) for c in p.terms.values()]
-    mult = math.lcm(*[c.denominator for c in coeffs])
-    scale = Fraction(mult, math.gcd(*[c.numerator for c in coeffs]))
-    return -scale if lead.leading_coeff() < 0 else scale
+def signed_content(lead: MultiPoly, *others: MultiPoly) -> int:
+    """The joint content of ``lead`` and ``others``, signed like ``lead``'s
+    leading coefficient: dividing by it leaves them jointly primitive with
+    ``lead``'s leading coefficient positive."""
+    content = math.gcd(*[c for p in (lead, *others) for c in p.terms.values()])
+    return -content if lead.leading_coeff() < 0 else content
 
 
 def _gcd_normalise(p: MultiPoly) -> MultiPoly:
-    return p.scale(normalising_scale(p)) if p.terms else _POLY_ZERO
+    return p.divide_content(signed_content(p)) if p.terms else _POLY_ZERO
 
 
 def poly_divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Exact division a / b in Q[q, t]; raises if b does not divide a."""
+    """Exact division a / b in Z[q, t]; raises ValueError unless the quotient
+    is integral.  By Gauss's lemma it is whenever b is primitive (as every
+    ``poly_gcd`` is) and divides a in Q[q, t]."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
@@ -510,7 +504,7 @@ def poly_divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if b.is_one():
         return a
     rem = dict(a.terms)
-    out: dict[Key, Fraction] = {}
+    out: dict[Key, int] = {}
     lb = b.leading_key()
     lbc = b.terms[lb]
     while rem:
@@ -519,11 +513,13 @@ def poly_divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         kq, kt = la[0] - lb[0], la[1] - lb[1]
         if kq < 0 or kt < 0 or la[2]:
             raise ValueError("inexact polynomial division")
-        c = rem[la] / lbc
+        c, r = divmod(rem[la], lbc)
+        if r:
+            raise ValueError("inexact polynomial division")
         out[(kq, kt, ())] = c
         for (bq, bt, _), bc in b.terms.items():
             key = (bq + kq, bt + kt, ())
-            s = rem.get(key, _ZERO) - c * bc
+            s = rem.get(key, 0) - c * bc
             if s:
                 rem[key] = s
             else:

@@ -20,8 +20,6 @@ from ..errors import ParseError
 from .poly import MultiPoly, _mul_xs, _trim, order_key
 from .ratfunc import RatFunc
 
-_ONE = Fraction(1)
-
 
 class QtxExpr:
     __slots__ = ("coeffs", "_hash")
@@ -458,16 +456,14 @@ def _poly_json(p: MultiPoly) -> list:
     for (eq, et, xs), c in p.sorted_terms():
         if xs:
             raise ValueError("only q,t-polynomials appear in coefficients")
-        if c.denominator != 1:
-            raise ValueError("canonical coefficients are integers")
-        out.append([str(c.numerator), eq, et])
+        out.append([str(c), eq, et])
     return out
 
 
 def _poly_from_json(entries) -> MultiPoly:
     terms = {}
     for c, eq, et in entries:
-        terms[(int(eq), int(et), ())] = Fraction(int(c))
+        terms[(int(eq), int(et), ())] = int(c)
     return MultiPoly(terms)
 
 

@@ -1,12 +1,13 @@
-"""The field Q(q, t): reduced fractions of bivariate polynomials.
+"""The field Q(q, t): reduced fractions of polynomials in Z[q, t].
 
-Canonical form: numerator and denominator are coprime, have integer
-coefficients with joint content 1, and the denominator's leading
-coefficient (graded lex, q > t) is positive.  Two rational functions are
-equal as field elements iff their canonical forms coincide, so ``==`` is
-exact field equality.  Every fraction is reduced with ``poly_gcd``; sums
-and products of reduced fractions run it only on the factors that can
-cancel (Henrici's method).
+A rational constant a/b is the fraction of the constants a and b.  Canonical
+form: numerator and denominator are coprime with joint content 1, and the
+denominator's leading coefficient (graded lex, q > t) is positive.  Two
+rational functions are equal as field elements iff their canonical forms
+coincide, so ``==`` is exact field equality.  Every fraction is reduced with
+``poly_gcd``, whose primitive gcds keep the quotients in Z[q, t] (Gauss's
+lemma); sums and products of reduced fractions run it only on the factors
+that can cancel (Henrici's method).
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ..errors import PoleError
-from .poly import MultiPoly, normalising_scale, poly_divexact, poly_gcd
-
-_ONE = Fraction(1)
+from .poly import MultiPoly, poly_divexact, poly_gcd, signed_content
 
 
 class RatFunc:
@@ -197,10 +196,13 @@ class RatFunc:
         return self.num.evaluate(q0, t0) / d
 
     def subs_q(self, q0) -> "RatFunc":
-        den = self.den.subs_q(q0)
+        """Substitute a/b for q; numerator and denominator both take a factor
+        b^d, d the larger q-degree, to stay integral."""
+        d = max(self.num.degree_q(), self.den.degree_q())
+        den = self.den.subs_q(q0, d)
         if den.is_zero():
             raise PoleError(f"denominator vanishes identically at q={q0}")
-        return RatFunc(self.num.subs_q(q0), den)
+        return RatFunc(self.num.subs_q(q0, d), den)
 
     def subs_t_recip(self) -> "RatFunc":
         """Substitute t -> 1/t."""
@@ -219,8 +221,8 @@ class RatFunc:
 
 
 def _normalise_pair(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    scale = normalising_scale(den, num)
-    return num.scale(scale), den.scale(scale)
+    content = signed_content(den, num)
+    return num.divide_content(content), den.divide_content(content)
 
 
 def _coerce(value) -> "RatFunc":
@@ -247,7 +249,7 @@ def t_bracket(i: int) -> MultiPoly:
     """[i]_t = 1 + t + ... + t^(i-1); the empty sum 0 for i = 0."""
     if i < 0:
         raise ValueError("bracket index must be nonnegative")
-    return MultiPoly({(0, e, ()): _ONE for e in range(i)})
+    return MultiPoly({(0, e, ()): 1 for e in range(i)})
 
 
 @lru_cache(maxsize=None)

@@ -121,6 +121,19 @@ def _emit_ratfunc(value, as_json: bool) -> None:
 
 
 def main(argv=None) -> int:
+    # Exact answers may be longer than the digit limit of int-to-text
+    # conversion (4300 by default, Python 3.11+); lift it for this call only.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,6 +1,7 @@
 """Exact arithmetic: polynomials, the rational-function field, brackets,
 canonical text and JSON round-trips."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -39,8 +40,17 @@ coeffs = st.fractions(
 ).filter(lambda c: c != 0)
 
 
+def _over_z(terms):
+    """(p, m): the integer polynomial p = m * sum(terms), where the keys of
+    ``terms`` are monomials, its values rational coefficients, and m is the
+    lcm of their denominators."""
+    m = math.lcm(*[c.denominator for c in terms.values()])
+    return MultiPoly({key: int(c * m) for key, c in terms.items()}), m
+
+
 @st.composite
-def qt_polys(draw, max_terms=4, max_exp=4):
+def qt_terms(draw, max_terms=4, max_exp=4):
+    """A nonzero polynomial in q, t with rational coefficients, as terms."""
     terms = draw(
         st.dictionaries(
             st.tuples(st.integers(0, max_exp), st.integers(0, max_exp)),
@@ -49,7 +59,12 @@ def qt_polys(draw, max_terms=4, max_exp=4):
             max_size=max_terms,
         )
     )
-    return MultiPoly({(eq, et, ()): c for (eq, et), c in terms.items()})
+    return {(eq, et, ()): c for (eq, et), c in terms.items()}
+
+
+def qt_polys(max_terms=4, max_exp=4):
+    """The integer associates of ``qt_terms``."""
+    return qt_terms(max_terms, max_exp).map(lambda terms: _over_z(terms)[0])
 
 
 @st.composite
@@ -63,9 +78,10 @@ def bracket_products(draw):
 
 @st.composite
 def ratfuncs(draw):
-    num = draw(qt_polys())
-    den = draw(qt_polys().filter(lambda p: not p.is_zero()))
-    return RatFunc(num, den)
+    num, a = _over_z(draw(qt_terms()))
+    den, b = _over_z(draw(qt_terms()))
+    # (num / a) / (den / b): the denominators move into the RatFunc
+    return RatFunc(num * b, den * a)
 
 
 @st.composite
@@ -131,9 +147,14 @@ def test_poly_ring_axioms(a, b, c):
 
 
 def _associates(f, g):
-    """f is a nonzero rational multiple of g."""
-    ratio = poly_divexact(f, g)
-    return not ratio.is_zero() and ratio.degree_q() == 0 and ratio.degree_t() == 0
+    """f is a nonzero rational multiple of g: lc(g) f = lc(f) g."""
+    return not f.is_zero() and not g.is_zero() and f * g.leading_coeff() == g * f.leading_coeff()
+
+
+def _primitive_part(p):
+    """p divided by the gcd of its coefficients."""
+    c = math.gcd(*p.terms.values())
+    return MultiPoly({key: v // c for key, v in p.terms.items()})
 
 
 @settings(max_examples=50, deadline=None)
@@ -151,7 +172,7 @@ def test_gcd_divides_and_divexact(a, b):
 @given(qt_polys(), qt_polys(), st.one_of(qt_polys(max_terms=2), bracket_products()))
 def test_gcd_absorbs_common_factor(a, b, m):
     g = poly_gcd(a * m, b * m)
-    poly_divexact(g, m)  # m divides the gcd of (am, bm)
+    poly_divexact(g, _primitive_part(m))  # pp(m) divides the gcd of (am, bm) in Z[q, t]
     poly_divexact(a * m, g)
     poly_divexact(b * m, g)
     assert _associates(g, m * poly_gcd(a, b))
@@ -221,6 +242,20 @@ def test_ratfunc_rejects_x():
         RatFunc(X(1))
 
 
+def test_poly_rejects_non_integer_coefficients():
+    for c in (Fraction(1, 2), Fraction(3), 0.5):
+        with pytest.raises(TypeError):
+            MultiPoly({(1, 0, ()): c})
+        with pytest.raises(TypeError):
+            MultiPoly.const(c)
+        with pytest.raises(TypeError):
+            Q() + c
+    with pytest.raises(ValueError):
+        poly_divexact(Q() + MultiPoly.one(), MultiPoly.const(2))
+    # the rational constant lives in the RatFunc denominator
+    assert RatFunc(Q() + MultiPoly.one(), MultiPoly.const(2)).evaluate(3, 0) == 2
+
+
 # -- evaluation, specialisation ------------------------------------------------
 
 
@@ -247,6 +282,17 @@ def test_specialize():
     assert e.specialize(q_to=0) == QtxExpr.one()
     with pytest.raises(PoleError):
         parse("1/(1-q)").specialize(q_to=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ratfuncs(), st.fractions(min_value=-3, max_value=3, max_denominator=5))
+def test_subs_q_at_a_fraction_matches_evaluation(r, t0):
+    q0 = Fraction(2, 3)
+    try:
+        want = r.evaluate(q0, t0)
+    except PoleError:
+        return  # undefined at the point
+    assert r.subs_q(q0).evaluate(1, t0) == want
 
 
 def test_pole_on_vanishing_denominator():
@@ -291,7 +337,7 @@ def test_text_round_trip_bulk():
         coeffs_map = {}
         for _ in range(rng.randint(0, 4)):
             xs = tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 3)))
-            num = MultiPoly(
+            num, m = _over_z(
                 {
                     (rng.randint(0, 4), rng.randint(0, 4), ()): Fraction(
                         rng.randint(-9, 9) or 1, rng.randint(1, 4)
@@ -300,7 +346,7 @@ def test_text_round_trip_bulk():
                 }
             )
             den = MultiPoly.one() - MultiPoly.q(rng.randint(1, 3)) * MultiPoly.t(rng.randint(0, 3))
-            coeffs_map[xs] = RatFunc(num, den if rng.random() < 0.5 else MultiPoly.one())
+            coeffs_map[xs] = RatFunc(num, (den if rng.random() < 0.5 else MultiPoly.one()) * m)
         e = QtxExpr(coeffs_map)
         assert parse(canonical_string(e)) == e
 

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import sys
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +66,33 @@ def test_prob_symbolic_and_pole(capsys):
 def test_partition_function(capsys):
     code, out, _ = run(capsys, "partition", "0", "2", "2")
     assert code == 0 and out.strip() == "(6)"
+
+
+def test_partition_with_more_digits_than_the_int_text_limit(capsys):
+    limit = _digit_limit()
+    text = _digits(comb(9000, 3000) * comb(9000, 6000))
+    assert len(text) > 4300
+    code, out, err = run(capsys, "partition", "3000", "3000", "3000")
+    assert code == 0 and err == "" and out.strip() == f"({text})"
+    code, out, _ = run(capsys, "partition", "3000", "3000", "3000", "--json")
+    assert code == 0 and json.loads(out)["terms"][0]["num"] == [[text, 0, 0]]
+    assert _digit_limit() == limit
+
+
+def _digit_limit():
+    """The int-to-text digit limit (None on Python 3.10, which has none)."""
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def _digits(value: int) -> str:
+    limit = _digit_limit()
+    if limit is None:
+        return str(value)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_partition_negative_count_exits_2(capsys):
@@ -197,9 +226,9 @@ def argvs(draw):
 
 
 def _cheap(argv):
-    """States, partition and verify take minutes on counts or a bound
-    above 2 (a word such as 12 parses as one); cap them."""
-    if argv[0] not in ("states", "partition", "verify"):
+    """States and verify take minutes on counts or a bound above 2 (a word
+    such as 12 parses as one); cap them."""
+    if argv[0] not in ("states", "verify"):
         return argv
     out = []
     for token in argv:
