@@ -17,7 +17,7 @@ from fractions import Fraction
 from .algebra.qtx import QtxExpr, canonical_string, ratfunc_string, to_json_dict
 from .combinatorics import Word, enumerate_states
 from .errors import DivergenceError, NoConvergence, NotAPartition, PoleError
-from .oracles.matrices import truncated_trace
+from .oracles.matrices import MAX_SIZE, truncated_trace
 from .oracles.recurrence import trace_by_recurrence
 from .queues import enumerate_queues
 from .verify import SUITES, run_suite
@@ -95,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="evaluate the truncated trace at rational q, t",
     )
-    p.add_argument("--trunc", type=int, default=None, metavar="N", help="exact trace of the N-truncation")
+    p.add_argument(
+        "--trunc", type=int, default=None, metavar="N", help=f"exact trace of the N-truncation, 1 <= N <= {MAX_SIZE}"
+    )
     p.add_argument("--x", nargs="+", type=_rational, default=None, metavar="XI", help="rational x values (default all 1)")
 
     p = add("verify", "run a cross-oracle invariant suite")

@@ -7,8 +7,13 @@ Matrices (rows and columns indexed from 0):
   A2(x): x^2 on the diagonal, x (1 - t^i) on the subdiagonal.
   S:     diagonal q^i.
 
-A truncation to N rows is exact on entries (i, j) with i, j <= N-2 for a
-product of two bands, which is what the relation checks use.
+An N-truncation is stored by its diagonals, ``{d: [entry (i, i + d) for
+row i in 0..N-1]}``, with 0 where (i, i + d) is off the matrix.  Every
+factor has at most one off-diagonal, so a product adds at most two terms
+per entry and the trace is the sum of diagonal 0.  A truncation to N rows
+is exact on entries (i, j) with i, j <= N-2 for a product of two bands,
+which is what the relation checks use.  Truncations are at most
+``MAX_SIZE`` rows.
 """
 
 from __future__ import annotations
@@ -19,65 +24,45 @@ from typing import Iterator
 from ..combinatorics import Word
 from ..errors import DivergenceError, NoConvergence, RelationViolation
 
-Sparse = dict[tuple[int, int], Fraction]
+Banded = dict[int, list]
 
 
-def banded_matrix(kind: str, x, size: int, q=None, t=None) -> Sparse:
-    """Sparse N-truncation of A0/A1/A2/S; the entry type (exact Fraction or
-    float) follows the inputs."""
-    entries: Sparse = {}
-    one = 1 if not isinstance(x if x is not None else q, float) else 1.0
-    if kind == "A0":
-        for i in range(size):
-            entries[(i, i)] = one
-            if i + 1 < size:
-                entries[(i, i + 1)] = x
-    elif kind == "A1":
-        ti = one
-        for i in range(size):
-            entries[(i, i)] = x * ti
-            ti *= t
-    elif kind == "A2":
-        ti = one
-        for i in range(size):
-            entries[(i, i)] = x * x
-            if i >= 1:
-                v = x * (one - ti)
-                if v:
-                    entries[(i, i - 1)] = v
-            ti *= t
-    elif kind == "S":
-        qi = one
-        for i in range(size):
-            if qi:
-                entries[(i, i)] = qi
-            qi *= q
-    else:
-        raise ValueError(f"unknown matrix kind {kind!r}")
-    return entries
-
-
-def sparse_mul(a: Sparse, b: Sparse) -> Sparse:
-    rows: dict[int, list[tuple[int, Fraction]]] = {}
-    for (i, j), v in b.items():
-        rows.setdefault(i, []).append((j, v))
-    out: Sparse = {}
-    for (i, k), va in a.items():
-        for j, vb in rows.get(k, ()):
-            key = (i, j)
-            s = out.get(key, 0) + va * vb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+def _powers(base, one, size: int) -> list:
+    out = [one] * size
+    for i in range(1, size):
+        out[i] = out[i - 1] * base
     return out
 
 
-def sparse_trace(a: Sparse):
-    return sum(v for (i, j), v in a.items() if i == j)
+def banded_matrix(kind: str, x, size: int, q=None, t=None) -> Banded:
+    """Diagonals of the N-truncation of A0/A1/A2/S; the entry type (exact
+    Fraction or float) follows the inputs."""
+    one = 1 if not isinstance(x if x is not None else q, float) else 1.0
+    if kind == "A0":
+        return {0: [one] * size, 1: [x if i + 1 < size else 0 for i in range(size)]}
+    if kind == "A1":
+        return {0: [x * ti for ti in _powers(t, one, size)]}
+    if kind == "A2":
+        sub = [x * (one - ti) if i else 0 for i, ti in enumerate(_powers(t, one, size))]
+        return {0: [x * x] * size, -1: sub}
+    if kind == "S":
+        return {0: _powers(q, one, size)}
+    raise ValueError(f"unknown matrix kind {kind!r}")
 
 
-def _word_matrices(mu: Word, q0, t0, xs, size: int) -> Iterator[Sparse]:
+def banded_mul(a: Banded, b: Banded) -> Banded:
+    """Product of two truncations: entry (i, i + da + db) gains
+    a[da][i] * b[db][i + da] wherever row i + da exists."""
+    out: Banded = {}
+    for da, ra in a.items():
+        for db, rb in b.items():
+            row = out.setdefault(da + db, [0] * len(ra))
+            for i in range(max(0, -da), min(len(ra), len(ra) - da)):
+                row[i] += ra[i] * rb[i + da]
+    return out
+
+
+def _word_matrices(mu: Word, q0, t0, xs, size: int) -> Iterator[Banded]:
     """The factors of the product in order, built one at a time: only the
     running product and the next factor are alive at once."""
     kinds = {0: "A0", 1: "A1", 2: "A2"}
@@ -91,8 +76,8 @@ def product_trace(mu: Word, q0, t0, xs, size: int) -> Fraction:
     mats = _word_matrices(mu, q0, t0, xs, size)
     prod = next(mats)
     for m in mats:
-        prod = sparse_mul(prod, m)
-    return sparse_trace(prod)
+        prod = banded_mul(prod, m)
+    return sum(v for v in prod[0] if v)  # an all-zero trace stays the integer 0
 
 
 REL_TOL = 1e-10  # numeric truncated_trace: agreement of successive truncations
@@ -109,13 +94,14 @@ def truncated_trace(
 ):
     """Trace of the truncated matrix product for a word.
 
-    With ``size`` given, returns the exact rational trace of that single
-    truncation (bit-exact debugging mode).  Otherwise doubles the
-    truncation from ``START_SIZE`` until two successive values agree within
-    ``REL_TOL`` relative and returns a float, giving up above ``MAX_SIZE``.
+    With ``size`` given (1 to ``MAX_SIZE``), returns the exact rational
+    trace of that single truncation (bit-exact debugging mode).  Otherwise
+    doubles the truncation from ``START_SIZE`` until two successive values
+    agree within ``REL_TOL`` relative and returns a float, giving up above
+    ``MAX_SIZE``.
     """
-    if size is not None and size < 1:
-        raise ValueError(f"truncation size must be at least 1, got {size}")
+    if size is not None and not 1 <= size <= MAX_SIZE:
+        raise ValueError(f"truncation size must be at least 1 and at most {MAX_SIZE}, got {size}")
     q0, t0 = Fraction(q0), Fraction(t0)
     xs = tuple(Fraction(v) for v in xs) if xs is not None else (Fraction(1),) * mu.n
     if len(xs) != mu.n:
@@ -142,30 +128,31 @@ def truncated_trace(
 # ----------------------------------------------------------------------
 
 
-def _add(a: Sparse, b: Sparse) -> Sparse:
-    out = dict(a)
-    for key, v in b.items():
-        s = out.get(key, 0) + v
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
+def _add(a: Banded, b: Banded) -> Banded:
+    zero = [0] * len(next(iter(a.values())))
+    return {d: [u + v for u, v in zip(a.get(d, zero), b.get(d, zero))] for d in a.keys() | b.keys()}
 
 
-def _scale(a: Sparse, c) -> Sparse:
-    c = Fraction(c)
-    return {k: v * c for k, v in a.items() if v * c}
+def _scale(a: Banded, c) -> Banded:
+    return {d: [v * c for v in row] for d, row in a.items()}
 
 
-def _assert_equal_interior(name: str, lhs: Sparse, rhs: Sparse, size: int) -> None:
-    bound = size - 1  # entries with i, j <= size-2 are exact
-    for key in set(lhs) | set(rhs):
-        i, j = key
-        if i < bound and j < bound:
-            a, b = lhs.get(key, Fraction(0)), rhs.get(key, Fraction(0))
-            if a != b:
-                raise RelationViolation(name, key, a, b)
+def _assert_equal_interior(name: str, lhs: Banded, rhs: Banded, size: int) -> None:
+    """Compare entries (i, j) with i, j <= size-2, the exact ones, diagonal
+    by diagonal from the lowest and down each diagonal."""
+    zero = [0] * size
+    for d in sorted(lhs.keys() | rhs.keys()):
+        a, b = lhs.get(d, zero), rhs.get(d, zero)
+        for i in range(max(0, -d), min(size, size - d) - 1):
+            if a[i] != b[i]:
+                raise RelationViolation(name, (i, i + d), a[i], b[i])
+
+
+def _relation_report(checks: list, inputs: dict) -> dict:
+    """Assert each (name, lhs, rhs) on the truncation's interior."""
+    for name, lhs, rhs in checks:
+        _assert_equal_interior(name, lhs, rhs, inputs["size"])
+    return {"checks": [name for name, _, _ in checks], "inputs": inputs, "status": "pass"}
 
 
 def check_matrix_relations(q0, t0, x0, y0, size: int = 12) -> dict:
@@ -187,29 +174,24 @@ def check_matrix_relations(q0, t0, x0, y0, size: int = 12) -> dict:
     s = banded_matrix("S", None, size, q=q0)
 
     checks = [
-        ("A0(x)A0(y)=A0(y)A0(x)", sparse_mul(a0x, a0y), sparse_mul(a0y, a0x)),
+        ("A0(x)A0(y)=A0(y)A0(x)", banded_mul(a0x, a0y), banded_mul(a0y, a0x)),
         (
             "A0(x)A2(y)=t*A2(y)A0(x)+(1-t)*A2(y)+x*y*(1-t)*A0(y)",
-            sparse_mul(a0x, a2y),
+            banded_mul(a0x, a2y),
             _add(
-                _add(_scale(sparse_mul(a2y, a0x), t0), _scale(a2y, 1 - t0)),
+                _add(_scale(banded_mul(a2y, a0x), t0), _scale(a2y, 1 - t0)),
                 _scale(a0y, x0 * y0 * (1 - t0)),
             ),
         ),
         (
             "A0(x)A1(y)=t*A1(y)A0(x)+(1-t)*A1(y)",
-            sparse_mul(a0x, a1y),
-            _add(_scale(sparse_mul(a1y, a0x), t0), _scale(a1y, 1 - t0)),
+            banded_mul(a0x, a1y),
+            _add(_scale(banded_mul(a1y, a0x), t0), _scale(a1y, 1 - t0)),
         ),
-        ("A0(x)S=S*A0(q*x)", sparse_mul(a0x, s), sparse_mul(s, banded_matrix("A0", q0 * x0, size))),
+        ("A0(x)S=S*A0(q*x)", banded_mul(a0x, s), banded_mul(s, banded_matrix("A0", q0 * x0, size))),
     ]
-    for name, lhs, rhs in checks:
-        _assert_equal_interior(name, lhs, rhs, size)
-    return {
-        "checks": [name for name, _, _ in checks],
-        "inputs": {"q": str(q0), "t": str(t0), "x": str(x0), "y": str(y0), "size": size},
-        "status": "pass",
-    }
+    inputs = {"q": str(q0), "t": str(t0), "x": str(x0), "y": str(y0), "size": size}
+    return _relation_report(checks, inputs)
 
 
 def check_ansatz_relations(q0, t0, size: int = 12) -> dict:
@@ -226,24 +208,18 @@ def check_ansatz_relations(q0, t0, size: int = 12) -> dict:
     checks = [
         (
             "A0A2=t*A2A0+(1-t)*(A0+A2)",
-            sparse_mul(a0, a2),
-            _add(_scale(sparse_mul(a2, a0), t0), _scale(_add(a0, a2), 1 - t0)),
+            banded_mul(a0, a2),
+            _add(_scale(banded_mul(a2, a0), t0), _scale(_add(a0, a2), 1 - t0)),
         ),
         (
             "A0A1=t*A1A0+(1-t)*A1",
-            sparse_mul(a0, a1),
-            _add(_scale(sparse_mul(a1, a0), t0), _scale(a1, 1 - t0)),
+            banded_mul(a0, a1),
+            _add(_scale(banded_mul(a1, a0), t0), _scale(a1, 1 - t0)),
         ),
         (
             "A1A2=t*A2A1+(1-t)*A1",
-            sparse_mul(a1, a2),
-            _add(_scale(sparse_mul(a2, a1), t0), _scale(a1, 1 - t0)),
+            banded_mul(a1, a2),
+            _add(_scale(banded_mul(a2, a1), t0), _scale(a1, 1 - t0)),
         ),
     ]
-    for name, lhs, rhs in checks:
-        _assert_equal_interior(name, lhs, rhs, size)
-    return {
-        "checks": [name for name, _, _ in checks],
-        "inputs": {"q": str(q0), "t": str(t0), "size": size},
-        "status": "pass",
-    }
+    return _relation_report(checks, {"q": str(q0), "t": str(t0), "size": size})

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from crtasep.algebra import canonical_string, from_json, parse
 from crtasep.cli import main
 from crtasep.combinatorics import Word
+from crtasep.oracles.matrices import MAX_SIZE
 from crtasep.queues import TwoLineQueue, queue_type
 from crtasep.verify import SUITES
 from crtasep.weights import macdonald_E, tab_qtx
@@ -125,6 +126,15 @@ def test_nonpositive_trunc_exits_2(capsys):
         code, out, err = run(capsys, "trace", "0212", "--numeric", "1/3", "1/2", "--trunc", size)
         assert code == 2 and out == ""
         assert "truncation size must be at least 1" in err
+
+
+def test_oversized_trunc_exits_2(capsys):
+    # MAX_SIZE + 1 first: a build without the bound fails there rather than
+    # trying to allocate the billion-row truncation
+    for size in (str(MAX_SIZE + 1), "1000000000"):
+        code, out, err = run(capsys, "trace", "0212", "--numeric", "1/3", "1/2", "--trunc", size)
+        assert code == 2 and out == ""
+        assert f"at most {MAX_SIZE}" in err and "Traceback" not in err
 
 
 def test_queues_output(capsys):

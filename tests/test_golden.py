@@ -1,8 +1,9 @@
 """Byte-for-byte guard on canonical output: sha256 digests of tab_qtx,
 tab_t, the partition function of the word's sector, macdonald_P (for
-partitions), both peeling strategies of the trace recurrence, and the
-two-line queues of a type with their weights, on every word with n <= 5,
-recorded from a commit whose answers were trusted.
+partitions), both peeling strategies of the trace recurrence, the
+two-line queues of a type with their weights, and the numeric truncated
+trace (the adaptive float's repr and one exact truncation), on every word
+with n <= 5, recorded from a commit whose answers were trusted.
 
 Re-record (only when the canonical form changes on purpose) from the
 repository root with
@@ -15,10 +16,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 from crtasep.algebra import canonical_string, ratfunc_string
 from crtasep.combinatorics import Word
+from crtasep.oracles.matrices import truncated_trace
 from crtasep.oracles.recurrence import trace_by_recurrence
 from crtasep.queues import enumerate_queues, queue_weight
 from crtasep.weights import macdonald_P, partition_function, tab_qtx, tab_t
@@ -33,7 +36,12 @@ def _sha(text: str) -> str:
 
 def digests(word: str) -> dict[str, str]:
     mu = Word.from_string(word)
+    q0, t0 = Fraction(1, 3), Fraction(1, 2)
+    xs = tuple(Fraction(i + 2, 4) for i in range(mu.n))
     out = {
+        "numeric_trace": _sha(
+            repr(truncated_trace(mu, q0, t0, xs)) + str(truncated_trace(mu, q0, t0, xs, size=7))
+        ),
         "tab_qtx": _sha(canonical_string(tab_qtx(mu))),
         "tab_t": _sha(ratfunc_string(tab_t(mu))),
         "partition": _sha(ratfunc_string(partition_function(mu.k, mu.r, mu.l))),

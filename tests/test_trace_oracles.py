@@ -9,12 +9,13 @@ from crtasep.algebra import MultiPoly, RatFunc, parse
 from crtasep.combinatorics import Word
 from crtasep.errors import DivergenceError, RelationViolation
 from crtasep.oracles.matrices import (
+    MAX_SIZE,
     _assert_equal_interior,
     banded_matrix,
+    banded_mul,
     check_ansatz_relations,
     check_matrix_relations,
     product_trace,
-    sparse_mul,
     truncated_trace,
 )
 from crtasep.oracles.recurrence import f_mu, trace_by_recurrence, trace_rec_eval
@@ -103,6 +104,16 @@ def test_truncated_trace_rejects_nonpositive_size():
             truncated_trace(W("0212"), Fraction(1, 3), Fraction(1, 2), size=size)
 
 
+def test_truncated_trace_bounds_the_exact_size():
+    # MAX_SIZE + 1 first: a build without the bound fails there rather than
+    # trying to allocate the billion-row truncation
+    for size in (MAX_SIZE + 1, 10**9):
+        with pytest.raises(ValueError, match=f"at most {MAX_SIZE}"):
+            truncated_trace(W("0212"), Fraction(1, 3), Fraction(1, 2), size=size)
+    got = truncated_trace(W("1"), Fraction(1, 3), Fraction(1, 2), size=MAX_SIZE)
+    assert got == sum(Fraction(1, 6) ** i for i in range(MAX_SIZE))
+
+
 def test_truncated_trace_divergence_guard():
     with pytest.raises(DivergenceError):
         truncated_trace(W("12"), Fraction(3), Fraction(1, 2))  # |q t^r| = 3/2
@@ -141,9 +152,9 @@ def test_perturbed_matrix_violates_relation():
     size = 8
     a0 = banded_matrix("A0", Fraction(1), size)
     a2 = banded_matrix("A2", Fraction(1), size, t=t0)
-    lhs = sparse_mul(a0, a2)
-    bad = dict(lhs)
-    bad[(2, 2)] += 1  # deliberate corruption
+    lhs = banded_mul(a0, a2)
+    bad = {d: list(row) for d, row in lhs.items()}
+    bad[0][2] += 1  # deliberate corruption of entry (2, 2)
     with pytest.raises(RelationViolation) as err:
         _assert_equal_interior("negative-control", bad, lhs, size)
     assert err.value.relation == "negative-control"
@@ -155,3 +166,59 @@ def test_product_trace_matches_dense_expectation():
     q0, t0, x0 = Fraction(1, 2), Fraction(1, 3), Fraction(2)
     got = product_trace(W("1"), q0, t0, (x0,), 6)
     assert got == sum(x0 * t0**i * q0**i for i in range(6))
+
+
+# -- dense reference for the truncated product ---------------------------------
+
+
+def _dense(kind, x, size, q, t):
+    """N x N Fraction matrix of A0/A1/A2/S, straight from the definitions."""
+    m = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        if kind == "A0":
+            m[i][i] = Fraction(1)
+            if i + 1 < size:
+                m[i][i + 1] = x
+        elif kind == "A1":
+            m[i][i] = x * t**i
+        elif kind == "A2":
+            m[i][i] = x * x
+            if i >= 1:
+                m[i][i - 1] = x * (1 - t**i)
+        else:
+            m[i][i] = q**i
+    return m
+
+
+def _dense_mul(a, b):
+    size = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(size)) for j in range(size)] for i in range(size)]
+
+
+def _entry(m, i, j):
+    return m.get(j - i, [0] * len(m[0]))[i]
+
+
+def test_banded_matrix_matches_dense_definition():
+    q0, t0, x0 = Fraction(2, 7), Fraction(3, 5), Fraction(-4, 3)
+    for size in (1, 2, 3, 6):
+        for kind in ("A0", "A1", "A2", "S"):
+            dense = _dense(kind, x0, size, q0, t0)
+            banded = banded_matrix(kind, None if kind == "S" else x0, size, q=q0, t=t0)
+            got = [[_entry(banded, i, j) for j in range(size)] for i in range(size)]
+            assert got == dense, (kind, size)
+
+
+def test_product_trace_matches_dense_product():
+    q0, t0 = Fraction(2, 7), Fraction(3, 5)
+    xs = tuple(Fraction(i + 2, 3) for i in range(4))
+    kinds = ("A0", "A1", "A2")
+    for size in (1, 2, 3, 6):
+        s = _dense("S", None, size, q0, t0)
+        for n in range(1, 5):
+            for letters in itertools.product((0, 1, 2), repeat=n):
+                prod = s
+                for a, x in reversed(list(zip(letters, xs))):
+                    prod = _dense_mul(_dense(kinds[a], x, size, q0, t0), prod)
+                expected = sum(prod[i][i] for i in range(size))
+                assert product_trace(Word(letters), q0, t0, xs[:n], size) == expected, (letters, size)
