@@ -6,9 +6,8 @@ used everywhere (serialisation, leading terms, gcd) is graded lexicographic
 with q > t > x1 > x2 > ...
 
 A rational constant is a ``RatFunc``, a quotient of two integer constants.
-``poly_gcd`` (q and t only) reads both sides as integer rows, a polynomial
-in t with Z[q] coefficients, and runs one primitive remainder sequence on
-them; ``poly_divexact`` is exact long division in Z[q, t].
+``poly_gcd`` (q and t only) is a heuristic gcd by evaluation, checked by
+exact division (``poly_divexact``, long division in Z[q, t]).
 """
 
 from __future__ import annotations
@@ -283,164 +282,83 @@ _POLY_ONE = MultiPoly({(0, 0, ()): 1})
 # ----------------------------------------------------------------------
 # gcd and exact division in Z[q, t]
 #
-# Bivariate polynomials are handled as polynomials in t whose coefficients
-# are univariate polynomials in q, so the primitive polynomial remainder
-# sequences run on machine/big ints.  The weight denominators are
-# products of q,t-brackets (1 - q t^i), (1 - t) and t-brackets [j]_t, so
-# degrees stay small.  Tuples here, argument tuples of ``math.gcd``
-# included, are built from lists, not generators: CPython
-# resizes a tuple it builds from a generator, and the resized tuples pile up
-# on its tuple free lists (measured: about 1 MB more peak RSS over
-# the stationary laws of sectors (3,3,2) and (3,2,2)).
+# ``_zgcd`` is the heuristic gcd of Char, Geddes and Gonnet (GCDHEU, J.
+# Symbolic Computation 7, 1989): strip the integer contents of a and b, set q
+# (one level down, t) to an odd integer xi, take the gcd of the two images the
+# same way (of constants, ``math.gcd``), rebuild g from the symmetric xi-adic
+# digits of its coefficients, and return pp(g) if it divides a and b, else
+# retry with xi := 2 xi + 1.  Why pp(g) is then the gcd h, starting from
+# xi = 2B + 1 with B the smaller over a, b of 2^(deg_q + deg_t) ceil(||p||_2):
+# - A factor k of p has |coeff(k)| <= binomial * M(k) <= 2^deg * M(p)
+#   <= 2^deg * ||p||_2 (M the Mahler measure), so no common factor of a
+#   and b has a coefficient above B <= (xi - 1)/2.
+# - Say G = pp(g) divides a and b: h = G k, and g = c G with |c| at most
+#   (xi - 1)/2, as c divides every digit.  h(xi) divides both images, so
+#   G(xi) k(xi) divides c G(xi): k(xi) is an integer dividing c.  So k(xi)
+#   and k's coefficients are digits, which are unique in an odd base: k is
+#   that integer, and G is h up to a unit.
+# - q - xi (coefficient xi > B) does not divide both inputs, so the images
+#   never both vanish; if one does, the gcd of 0 and p is p, as above.
+# - Termination: past finitely many xi, the gcd of the images is h(xi) times
+#   an integer dividing a fixed one (the t-coefficients of a/h and b/h share
+#   no factor in Q[q]), so for xi large enough g is that integer times h.
+# ``math.gcd`` argument tuples are built from lists or dict views, never
+# generators: CPython resizes a tuple it builds from a generator, and the
+# resized tuples pile up on its free lists (measured: about 1 MB more peak
+# RSS over the stationary laws of sectors (3,3,2) and (3,2,2)).
 # ----------------------------------------------------------------------
 
 
-def _zq_trim(c) -> tuple:
-    end = len(c)
-    while end and not c[end - 1]:
-        end -= 1
-    return tuple(c[:end])
-
-
-def _zq_pp(a: tuple[int, ...]) -> tuple[int, ...]:
-    c = math.gcd(*a)
-    if c in (0, 1):
-        return a
-    return tuple([v // c for v in a])
-
-
-def _zq_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                out[i + j] += av * bv
-    return _zq_trim(out)
-
-
-def _zq_prem(a, b):
-    """Pseudo-remainder in Z[q]: iterate a := lc(b)*a - lc(a)*q^shift*b."""
-    a = list(a)
-    lb = b[-1]
-    db = len(b) - 1
-    while a and len(a) - 1 >= db:
-        la = a[-1]
-        shift = len(a) - 1 - db
-        for i in range(len(a)):
-            a[i] *= lb
-        for i, bv in enumerate(b):
-            a[shift + i] -= la * bv
-        while a and not a[-1]:
-            a.pop()
-    return tuple(a)
-
-
-def _zq_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """gcd in Z[q], primitive with positive leading coefficient."""
-    if not a:
-        return _zq_pp(b) if not b or b[-1] > 0 else tuple([-v for v in _zq_pp(b)])
-    if not b:
-        return _zq_pp(a) if a[-1] > 0 else tuple([-v for v in _zq_pp(a)])
-    c = math.gcd(*a, *b)
-    a, b = _zq_pp(a), _zq_pp(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _zq_prem(a, b)
-        a, b = b, _zq_pp(r)
-    if a[-1] < 0:
-        a = tuple([-v for v in a])
-    return tuple([v * c for v in a])
-
-
-def _zq_divexact(a, b):
-    """Exact quotient in Z[q]; raises ValueError unless b divides a with an
-    integer quotient."""
-    if not b:
-        raise ZeroDivisionError("q-polynomial division by zero")
-    if not a:
-        return ()
-    a = list(a)
-    lb, db = b[-1], len(b) - 1
-    quot = [0] * (len(a) - db)
-    for shift in range(len(a) - len(b), -1, -1):
-        c, r = divmod(a[shift + db], lb)
-        if r:
-            raise ValueError("inexact q-polynomial division")
-        if c:
-            quot[shift] = c
-            for i, bv in enumerate(b):
-                a[shift + i] -= c * bv
-    if any(a):
-        raise ValueError("inexact q-polynomial division")
-    return _zq_trim(quot)
-
-
-def _poly_to_zrows(p: MultiPoly) -> list[tuple[int, ...]]:
-    """Integer t-major coefficient rows."""
-    if p.has_x():
-        raise ValueError("gcd is only defined for polynomials in q and t")
-    rows: list[list[int]] = [[] for _ in range(p.degree_t() + 1)]
-    for (eq, et, _), c in p.terms.items():
-        row = rows[et]
-        if len(row) <= eq:
-            row.extend([0] * (eq + 1 - len(row)))
-        row[eq] = c
-    return [_zq_trim(r) for r in rows]
-
-
-def _zrows_to_poly(rows) -> MultiPoly:
-    terms = {}
-    for et, row in enumerate(rows):
-        for eq, c in enumerate(row):
-            if c:
-                terms[(eq, et, ())] = c
+def _at(p: MultiPoly, var: int, xi: int) -> MultiPoly:
+    """p with the variable at key position ``var`` (0: q, 1: t) set to xi."""
+    terms: dict[Key, int] = {}
+    for key, c in p.terms.items():
+        k = key[:var] + (0,) + key[var + 1:]
+        terms[k] = terms.get(k, 0) + c * xi ** key[var]
     return MultiPoly(terms)
 
 
-def _tp_content(f) -> tuple[int, ...]:
-    g: tuple[int, ...] = ()
-    for row in f:
-        g = _zq_gcd(g, row)
-        if g == (1,):
-            break
-    return g
+def _rebuild(g: MultiPoly, var: int, xi: int) -> MultiPoly:
+    """The polynomial whose coefficients in the variable at key position
+    ``var`` are the symmetric xi-adic digits of g's coefficients."""
+    half = xi // 2
+    terms: dict[Key, int] = {}
+    for key, c in g.terms.items():
+        e = 0
+        while c:
+            d = (c + half) % xi - half
+            terms[key[:var] + (e,) + key[var + 1:]] = d
+            c = (c - d) // xi
+            e += 1
+    return MultiPoly(terms)
 
 
-def _tp_pp(f):
-    cont = _tp_content(f)
-    if not cont:
-        return []
-    if cont == (1,):
-        return list(f)
-    return [_zq_divexact(r, cont) for r in f]
+def _factor_bound(p: MultiPoly) -> int:
+    """A bound on the coefficients of every factor of p in Z[q, t]."""
+    norm2 = sum(c * c for c in p.terms.values())
+    return (1 + math.isqrt(norm2 - 1)) << (p.degree_q() + p.degree_t())
 
 
-def _tp_prem(f, g):
-    """Pseudo-remainder of f by g in (Z[q])[t]; f, g lists of q-polys.
-    Integer content is stripped after every elimination step (the result is
-    only used up to units) to keep coefficient growth in check."""
-    lg = g[-1]
-    dg = len(g) - 1
-    while len(f) - 1 >= dg and f:
-        lf = f[-1]
-        shift = len(f) - 1 - dg
-        nf = [_zq_mul(lg, r) for r in f]
-        for i, r in enumerate(g):
-            prod = _zq_mul(lf, r)
-            row = list(nf[shift + i])
-            if len(row) < len(prod):
-                row.extend([0] * (len(prod) - len(row)))
-            for j, v in enumerate(prod):
-                row[j] -= v
-            nf[shift + i] = _zq_trim(row)
-        f = _zq_trim(nf)
-        c = math.gcd(*[v for row in f for v in row])
-        if c > 1:
-            f = [tuple([v // c for v in row]) for row in f]
-    return f
+def _zgcd(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
+    """A gcd of a and b in Z[q, t], content included, of either sign.  The
+    exponents before key position ``var`` are zero (var 2: a, b constants)."""
+    if var == 2:
+        return MultiPoly.const(math.gcd(*a.terms.values(), *b.terms.values()))
+    if not (a.terms and b.terms):
+        return a + b  # gcd(0, p) = p
+    ca, cb = math.gcd(*a.terms.values()), math.gcd(*b.terms.values())
+    a, b = a.divide_content(ca), b.divide_content(cb)
+    xi = 2 * min(_factor_bound(a), _factor_bound(b)) + 1
+    while True:
+        g = _rebuild(_zgcd(_at(a, var, xi), _at(b, var, xi), var + 1), var, xi)
+        g = g.divide_content(math.gcd(*g.terms.values()))
+        try:
+            poly_divexact(a, g)
+            poly_divexact(b, g)
+        except ValueError:
+            xi = 2 * xi + 1
+        else:
+            return g * math.gcd(ca, cb)
 
 
 # Bound on the memoised gcds.  A benchmark pass misses the cache about 440
@@ -459,26 +377,9 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return _gcd_normalise(a)
     if a.is_one() or b.is_one() or a == b:
         return _gcd_normalise(b if a == b else MultiPoly.one())
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        return _gcd_with_monomial(a, b)
-    fa, fb = _poly_to_zrows(a), _poly_to_zrows(b)
-    c = _zq_gcd(_tp_content(fa), _tp_content(fb))
-    f, g = _tp_pp(fa), _tp_pp(fb)
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        f, g = g, _tp_pp(_tp_prem(f, g))
-    return _gcd_normalise(_zrows_to_poly([_zq_mul(r, c) for r in f]))
-
-
-def _gcd_with_monomial(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """gcd when one side is a single term: q and t powers bounded by the
-    other side's minimal exponents (constants are units, so coefficient 1)."""
-    mono, other = (a, b) if len(a.terms) == 1 else (b, a)
-    meq, met, _ = next(iter(mono.terms))
-    eq = min(min(k[0] for k in other.terms), meq)
-    et = min(min(k[1] for k in other.terms), met)
-    return MultiPoly.monomial(eq, et, ())
+    if a.has_x() or b.has_x():
+        raise ValueError("gcd is only defined for polynomials in q and t")
+    return _gcd_normalise(_zgcd(a, b, 0))
 
 
 def signed_content(lead: MultiPoly, *others: MultiPoly) -> int:

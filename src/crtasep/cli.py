@@ -213,6 +213,8 @@ def _dispatch(args) -> int:
     if cmd == "trace":
         mu = _word(args.word)
         if args.numeric is None:
+            if args.trunc is not None or args.x is not None:
+                raise ValueError("--trunc and --x need --numeric Q0 T0")
             _emit_expr(trace_by_recurrence(mu), args.json, mu.n)
             return 0
         q0, t0 = args.numeric
@@ -221,6 +223,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "verify":
+        if args.bound_n < 0:
+            raise ValueError(f"bound_n must be at least 0, not {args.bound_n}")
         report = run_suite(args.suite, args.bound_n, args.seed)
         print(json.dumps(report))
         return 0 if not report["failures"] else 1

@@ -181,10 +181,33 @@ def test_gcd_absorbs_common_factor(a, b, m):
 def test_gcd_cache_is_bounded():
     size = poly_gcd.cache_info().maxsize
     assert size is not None
-    for i in range(size + 100):  # distinct pairs, each a full remainder sequence
+    for i in range(size + 100):  # distinct pairs, each a full gcd computation
         g = poly_gcd(T() + MultiPoly.const(i + 2), Q() + MultiPoly.const(i + 2))
         assert g.is_one()
     assert poly_gcd.cache_info().currsize <= size
+
+
+def test_gcd_past_a_wrong_or_vanishing_image():
+    # the first evaluation point q = 13 suggests q - 2, which divides neither side
+    assert poly_gcd(4 * Q(2) + 6, 2 * Q() - 4).is_one()
+    # the first point q = 9 is a root of one side: its image is 0
+    assert poly_gcd(Q() - 9, Q() + 1).is_one()
+    assert poly_gcd((Q() - 9) * T(), Q() + 1).is_one()
+
+
+def test_gcd_with_a_single_term_side():
+    assert poly_gcd(Q(2) * T(3), Q() * T(5) + Q(3) * T(4)) == Q() * T(3)
+    assert poly_gcd(MultiPoly.const(6), 4 * Q() + 2 * T()).is_one()
+
+
+def test_gcd_of_high_degree_brackets():
+    one = MultiPoly.one()
+    d = one
+    for j in range(1, 13):  # prod (1 - q t^j): q-degree 12, t-degree 78, primitive, lc 1
+        d = d * (one - Q() * T(j))
+    assert poly_gcd(d * (one - T()) ** 6 * (Q(2) + T(5) + 3), d * (one + Q() * T(3)) ** 4) == d
+    want = t_factorial(10) * (one + T(3))  # 1 + t^3 divides [12]_t, primitive, lc 1
+    assert poly_gcd(t_factorial(14), want) == want
 
 
 def _to_sympy(p):

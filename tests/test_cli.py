@@ -137,6 +137,13 @@ def test_oversized_trunc_exits_2(capsys):
         assert f"at most {MAX_SIZE}" in err and "Traceback" not in err
 
 
+def test_trace_options_without_numeric_exit_2(capsys):
+    for option in (["--trunc", "5"], ["--x", "1", "2"]):
+        code, out, err = run(capsys, "trace", "201", *option)
+        assert code == 2 and out == ""
+        assert "--numeric" in err and "Traceback" not in err
+
+
 def test_queues_output(capsys):
     code, out, _ = run(capsys, "queues", "201021", "--json")
     doc = json.loads(out)
@@ -181,6 +188,12 @@ def test_verify_small_bounds(capsys):
         code, out, _ = run(capsys, "verify", suite, "3", "7")
         assert code == 0, suite
         assert json.loads(out)["failures"] == []
+
+
+def test_verify_negative_bound_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "markov", "-3", "0")
+    assert code == 2 and out == ""
+    assert "bound_n must be at least 0" in err
 
 
 def test_long_states_word_needs_no_recursion(capsys):

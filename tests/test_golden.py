@@ -9,10 +9,17 @@ Re-record (only when the canonical form changes on purpose) from the
 repository root with
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+To check that a change keeps output byte-identical beyond n = 5, print one
+sha256 over the digests of every word with n <= N on both trees and compare;
+this writes nothing:
+
+    PYTHONPATH=src python3 tests/test_golden.py --digest 6
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -27,7 +34,13 @@ from crtasep.queues import enumerate_queues, queue_weight
 from crtasep.weights import macdonald_P, partition_function, tab_qtx, tab_t
 
 GOLDEN = Path(__file__).parent / "data" / "golden_n5.json"
-WORDS = ["".join(p) for n in range(1, 6) for p in itertools.product("012", repeat=n)]
+
+
+def words(max_n: int) -> list[str]:
+    return ["".join(p) for n in range(1, max_n + 1) for p in itertools.product("012", repeat=n)]
+
+
+WORDS = words(5)
 
 
 def _sha(text: str) -> str:
@@ -69,4 +82,12 @@ def test_golden_n5():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({w: digests(w) for w in WORDS}, indent=0, sort_keys=True) + "\n")
+    parser = argparse.ArgumentParser(description="Re-record the golden digests of every word with n <= 5.")
+    parser.add_argument(
+        "--digest", type=int, metavar="N", help="instead print one sha256 over the digests of every word with n <= N"
+    )
+    max_n = parser.parse_args().digest
+    if max_n is None:
+        GOLDEN.write_text(json.dumps({w: digests(w) for w in WORDS}, indent=0, sort_keys=True) + "\n")
+    else:
+        print(_sha(json.dumps({w: digests(w) for w in words(max_n)}, sort_keys=True)))
