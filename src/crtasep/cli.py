@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .algebra.qtx import QtxExpr, canonical_string, ratfunc_string, to_json_dict
-from .combinatorics import Word, enumerate_states
+from .combinatorics import Word, count_states, enumerate_states
 from .errors import DivergenceError, NoConvergence, NotAPartition, PoleError
 from .oracles.matrices import MAX_SIZE, truncated_trace
 from .oracles.recurrence import trace_by_recurrence
@@ -29,6 +29,11 @@ from .weights import (
     tab_qtx,
     tab_t,
 )
+
+# Output bounds: printing Z takes time quadratic in its digits (up to about
+# 0.55 n of them), and states prints one line per word.
+MAX_PARTITION_N = 100_000
+MAX_STATES = 10**6
 
 
 def _word(text: str) -> Word:
@@ -159,6 +164,8 @@ def _dispatch(args) -> int:
     cmd = args.command
 
     if cmd == "states":
+        if count_states(args.k, args.r, args.l, MAX_STATES) > MAX_STATES:
+            raise ValueError(f"states lists at most {MAX_STATES} words")
         states = enumerate_states(args.k, args.r, args.l)
         if args.json:
             print(json.dumps({"count": len(states), "states": [str(mu) for mu in states]}))
@@ -178,6 +185,8 @@ def _dispatch(args) -> int:
 
     if cmd == "prob":
         mu = _word(args.word)
+        if args.at_t is not None and args.json:
+            raise ValueError("--at-t prints a plain rational; it takes no --json")
         value = stationary_prob(mu)
         if args.at_t is not None:
             print(Fraction(value.evaluate(1, args.at_t)))
@@ -186,6 +195,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "partition":
+        if args.k + args.r + args.l > MAX_PARTITION_N:
+            raise ValueError(f"partition takes k + r + l <= {MAX_PARTITION_N}")
         _emit_ratfunc(partition_function(args.k, args.r, args.l), args.json)
         return 0
 
@@ -217,6 +228,8 @@ def _dispatch(args) -> int:
                 raise ValueError("--trunc and --x need --numeric Q0 T0")
             _emit_expr(trace_by_recurrence(mu), args.json, mu.n)
             return 0
+        if args.json:
+            raise ValueError("--numeric prints a plain number; it takes no --json")
         q0, t0 = args.numeric
         value = truncated_trace(mu, q0, t0, args.x, size=args.trunc)
         print(value if args.trunc is not None else repr(value))

@@ -118,6 +118,20 @@ def enumerate_states(k: int, r: int, l: int) -> list[Word]:
         out.append(Word(tuple(letters)))
 
 
+def count_states(k: int, r: int, l: int, cap: int) -> int:
+    """len(enumerate_states(k, r, l)) = C(n, k) C(n - k, r), or the first
+    partial product above ``cap``: the products only grow, so the answer
+    exceeds cap exactly when the count does, after few big-int steps."""
+    count = 1
+    for n, m in ((k + r + l, k), (r + l, r)):
+        m = min(m, n - m)
+        for i in range(1, m + 1):
+            count = count * (n - m + i) // i  # times C(n-m+i, i) / C(n-m+i-1, i-1)
+            if count > cap:
+                return count
+    return count
+
+
 @dataclass(frozen=True)
 class Diagram:
     """The labeled cylinder shape of a word."""

@@ -117,12 +117,12 @@ def _check_markov(instance):
 def _instances_recurrence(bound_n: int, seed: int):
     rng = random.Random(seed)
     out = []
-    for mu in _words_up_to(min(bound_n, 5)):
+    for mu in _words_up_to(min(bound_n, 7)):
         out.append(("sym", str(mu)))
     for mu in _words_up_to(min(bound_n, 4)):
         if mu.k >= 1:
             out.append(("dchoice", str(mu)))
-    for n in range(6, bound_n + 1):
+    for n in range(8, bound_n + 1):
         for letters in itertools.product((0, 1, 2), repeat=n):
             mu = Word(letters)
             for _ in range(3):

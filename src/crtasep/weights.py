@@ -13,10 +13,11 @@ a sector has the same r+l, so each body is multiplied once by its factorial
 ratio [r+l-a]!/[r+l]! and the answer is reduced once.  The partition
 function needs no tableaux: it is the product C(n, r+l) C(n, l).
 
-The values live in a small coefficient ``Ring``: ``SYMBOLIC`` (q,t,x
-monomials, giving Tab_qtx), ``T_ONLY`` (t-monomials, giving Tab_t) and
-``point_ring`` (exact rationals at one point).  The trace recurrence in
-``oracles.recurrence`` uses the same rings.
+The values live in a small coefficient ``Ring`` of monomials and
+factorial ratios: ``SYMBOLIC`` (q,t,x monomials, giving Tab_qtx),
+``T_ONLY`` (t-monomials, giving Tab_t) and ``point_ring`` (exact rationals
+at one point).  The trace recurrence in ``oracles.recurrence`` uses
+``SYMBOLIC`` and ``point_ring``.
 """
 
 from __future__ import annotations
@@ -45,24 +46,19 @@ from .combinatorics import (
 
 class Ring(NamedTuple):
     """The coefficient ring of a tableau or trace sum.  Values of ``term``
-    are added and multiplied by each other; ``ratio`` and ``base`` values
-    multiply them into the ring of the answer."""
+    are added and multiplied by each other; ``ratio`` values multiply them
+    into the ring of the answer."""
 
     term: Callable  # (rec, dis, x_exponents) -> q^rec t^dis x^x_exponents
     ratio: Callable  # (a, b) -> [a]!/[b]!
-    base: Callable | None  # (x_exponents, r) -> x^x_exponents / (1 - q t^r)
 
 
 def _qtx_ratio(a: int, b: int) -> QtxExpr:
     return QtxExpr.from_ratfunc(qt_factorial_ratio(a, b))
 
 
-def _qtx_base(exps, r: int) -> QtxExpr:
-    return QtxExpr.x_monomial(exps, RatFunc(MultiPoly.one(), MultiPoly.one() - MultiPoly.q() * MultiPoly.t(r)))
-
-
-SYMBOLIC = Ring(MultiPoly.monomial, _qtx_ratio, _qtx_base)
-T_ONLY = Ring(lambda rec, dis, exps: MultiPoly.monomial(0, dis, ()), t_factorial_ratio, None)
+SYMBOLIC = Ring(MultiPoly.monomial, _qtx_ratio)
+T_ONLY = Ring(lambda rec, dis, exps: MultiPoly.monomial(0, dis, ()), t_factorial_ratio)
 
 
 def point_ring(q0, t0, xs, n: int) -> Ring:
@@ -89,10 +85,7 @@ def point_ring(q0, t0, xs, n: int) -> Ring:
             ratios[a, b] = v
         return ratios[a, b]
 
-    def base(exps, r: int) -> Fraction:
-        return term(0, 0, exps) / (1 - q0 * t0**r)
-
-    return Ring(term, ratio, base)
+    return Ring(term, ratio)
 
 
 def _fixed_exps(diagram: Diagram, used) -> list[int]:

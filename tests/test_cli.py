@@ -96,6 +96,14 @@ def _digits(value: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
+def test_oversized_partition_and_states_exit_2(capsys):
+    code, out, err = run(capsys, "partition", "100001", "0", "0")
+    assert code == 2 and out == "" and "k + r + l <= 100000" in err
+    # 17,153,136 words: a build without the bound enumerates them into a list
+    code, out, err = run(capsys, "states", "6", "6", "6")
+    assert code == 2 and out == "" and "at most 1000000 words" in err
+
+
 def test_partition_negative_count_exits_2(capsys):
     code, out, err = run(capsys, "partition", "-1", "2", "1")
     assert code == 2 and out == ""
@@ -142,6 +150,17 @@ def test_trace_options_without_numeric_exit_2(capsys):
         code, out, err = run(capsys, "trace", "201", *option)
         assert code == 2 and out == ""
         assert "--numeric" in err and "Traceback" not in err
+
+
+def test_json_with_a_point_value_exits_2(capsys):
+    for argv, option in (
+        (("trace", "0212", "--numeric", "1/3", "1/2", "--json"), "--numeric"),
+        (("trace", "0212", "--numeric", "1/3", "1/2", "--trunc", "5", "--json"), "--numeric"),
+        (("prob", "201021", "--at-t", "1/2", "--json"), "--at-t"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert option in err and "--json" in err and "Traceback" not in err
 
 
 def test_queues_output(capsys):

@@ -1,11 +1,13 @@
 """Trace recurrence, truncated numeric traces, and the matrix relations."""
 
+import gc
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from crtasep.algebra import MultiPoly, RatFunc, parse
+from crtasep.algebra import MultiPoly, RatFunc, parse, poly_gcd
 from crtasep.combinatorics import Word
 from crtasep.errors import DivergenceError, RelationViolation
 from crtasep.oracles.matrices import (
@@ -18,6 +20,7 @@ from crtasep.oracles.matrices import (
     product_trace,
     truncated_trace,
 )
+from crtasep.oracles import recurrence
 from crtasep.oracles.recurrence import f_mu, trace_by_recurrence, trace_rec_eval
 from crtasep.weights import macdonald_E, omega, tab_qtx, tab_qtx_eval
 
@@ -57,10 +60,33 @@ def test_trace_d_choice_independent():
 
 
 def test_trace_rec_eval_matches_symbolic():
-    mu = W("02120")
+    # every word with n <= 4, words without holes (a bare base term) included
     q0, t0 = Fraction(1, 5), Fraction(2, 7)
-    xs = tuple(Fraction(i + 2, 3) for i in range(mu.n))
-    assert trace_rec_eval(mu, q0, t0, xs) == trace_by_recurrence(mu).evaluate(q0, t0, xs)
+    for n in range(1, 5):
+        xs = tuple(Fraction(i + 2, 3) for i in range(n))
+        for letters in itertools.product((0, 1, 2), repeat=n):
+            mu = Word(letters)
+            for strategy in ("max", "min"):
+                want = trace_by_recurrence(mu, strategy).evaluate(q0, t0, xs)
+                assert trace_rec_eval(mu, q0, t0, xs, strategy) == want, (mu, strategy)
+
+
+def test_recurrence_retains_nothing_between_calls():
+    words = [Word(letters) for letters in itertools.product((0, 1, 2), repeat=5)]
+    poly_gcd.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for mu in words:
+            trace_by_recurrence(mu)
+        poly_gcd.cache_clear()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 1024, retained
+    assert recurrence._SYMBOLIC_CACHE == {}
 
 
 def test_trace_identity_numeric_n7():
