@@ -1,4 +1,4 @@
-"""Exact arithmetic: integer polynomials in q,t,x, the field Q(q,t), and q,t-brackets."""
+"""Exact arithmetic: integer polynomials in q,t, the field Q(q,t), x-polynomials over it, and q,t-brackets."""
 
 from .poly import MultiPoly, poly_divexact, poly_gcd
 from .qtx import (

@@ -1,13 +1,14 @@
-"""Sparse exact polynomials in q, t, x1..xn with integer coefficients.
+"""Sparse exact polynomials in q and t with integer coefficients: the ring
+Z[q, t].
 
-A monomial is keyed by ``(e_q, e_t, xs)`` where ``xs`` is a tuple of
-exponents for x1, x2, ... with trailing zeros removed.  The monomial order
-used everywhere (serialisation, leading terms, gcd) is graded lexicographic
-with q > t > x1 > x2 > ...
+A monomial is keyed by ``(e_q, e_t)``.  The monomial order used everywhere
+(serialisation, leading terms, gcd) is graded lexicographic with q > t.
+The x variables never enter this ring: ``algebra.qtx`` keeps their
+exponents as the keys of its x-polynomials.
 
 A rational constant is a ``RatFunc``, a quotient of two integer constants.
-``poly_gcd`` (q and t only) is a heuristic gcd by evaluation, checked by
-exact division (``poly_divexact``, long division in Z[q, t]).
+``poly_gcd`` is a heuristic gcd by evaluation, checked by exact division
+(``poly_divexact``, long division in Z[q, t]).
 """
 
 from __future__ import annotations
@@ -15,24 +16,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
-Key = tuple  # (e_q, e_t, tuple_of_x_exponents)
-
-
-def _trim(xs: Iterable[int]) -> tuple[int, ...]:
-    xs = tuple(xs)
-    end = len(xs)
-    while end and xs[end - 1] == 0:
-        end -= 1
-    return xs[:end]
+Key = tuple  # (e_q, e_t)
 
 
-def order_key(key: Key, width: int) -> tuple:
-    """Graded-lex sort key (ascending); pad the x part to ``width``."""
-    eq, et, xs = key
-    deg = eq + et + sum(xs)
-    return (deg, eq, et) + xs + (0,) * (width - len(xs))
+def order_key(key: Key) -> tuple[int, int]:
+    """Graded-lex sort key (ascending), q > t."""
+    return (key[0] + key[1], key[0])
 
 
 class MultiPoly:
@@ -43,11 +34,11 @@ class MultiPoly:
     def __init__(self, terms: Mapping[Key, int] | None = None):
         clean: dict[Key, int] = {}
         if terms:
-            for (eq, et, xs), c in terms.items():
+            for (eq, et), c in terms.items():
                 if not isinstance(c, int):
                     raise TypeError(f"polynomial coefficients are integers, not {c!r}")
                 if c:
-                    clean[(eq, et, _trim(xs))] = c
+                    clean[eq, et] = c
         self.terms = clean
         self._hash: int | None = None
 
@@ -63,27 +54,19 @@ class MultiPoly:
 
     @staticmethod
     def const(c) -> "MultiPoly":
-        return MultiPoly({(0, 0, ()): c})
+        return MultiPoly({(0, 0): c})
 
     @staticmethod
     def q(power: int = 1) -> "MultiPoly":
-        return MultiPoly({(power, 0, ()): 1})
+        return MultiPoly({(power, 0): 1})
 
     @staticmethod
     def t(power: int = 1) -> "MultiPoly":
-        return MultiPoly({(0, power, ()): 1})
+        return MultiPoly({(0, power): 1})
 
     @staticmethod
-    def x(index: int, power: int = 1) -> "MultiPoly":
-        """x_index (1-based)."""
-        if index < 1:
-            raise ValueError("x variables are 1-based")
-        xs = (0,) * (index - 1) + (power,)
-        return MultiPoly({(0, 0, xs): 1})
-
-    @staticmethod
-    def monomial(eq: int, et: int, xs: Iterable[int], coeff=1) -> "MultiPoly":
-        return MultiPoly({(eq, et, tuple(xs)): coeff})
+    def monomial(eq: int, et: int, coeff=1) -> "MultiPoly":
+        return MultiPoly({(eq, et): coeff})
 
     # -- queries ------------------------------------------------------
 
@@ -91,14 +74,7 @@ class MultiPoly:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0, 0, ()): 1}
-
-    def has_x(self) -> bool:
-        return any(key[2] for key in self.terms)
-
-    @property
-    def nvars(self) -> int:
-        return max((len(key[2]) for key in self.terms), default=0)
+        return self.terms == {(0, 0): 1}
 
     def degree_q(self) -> int:
         return max((k[0] for k in self.terms), default=0)
@@ -107,19 +83,17 @@ class MultiPoly:
         return max((k[1] for k in self.terms), default=0)
 
     def leading_key(self) -> Key:
-        """Largest monomial under graded lex q > t > x1 > ... ."""
+        """Largest monomial under graded lex q > t."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        w = self.nvars
-        return max(self.terms, key=lambda k: order_key(k, w))
+        return max(self.terms, key=order_key)
 
     def leading_coeff(self) -> int:
         return self.terms[self.leading_key()]
 
     def sorted_terms(self) -> list[tuple[Key, int]]:
         """The terms in descending graded-lex order."""
-        w = self.nvars
-        return sorted(self.terms.items(), key=lambda kv: order_key(kv[0], w), reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: order_key(kv[0]), reverse=True)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -183,9 +157,9 @@ class MultiPoly:
         if not self.terms or not other.terms:
             return _POLY_ZERO
         prod: dict[Key, int] = {}
-        for (aq, at, axs), ac in self.terms.items():
-            for (bq, bt, bxs), bc in other.terms.items():
-                key = (aq + bq, at + bt, _mul_xs(axs, bxs))
+        for (aq, at), ac in self.terms.items():
+            for (bq, bt), bc in other.terms.items():
+                key = (aq + bq, at + bt)
                 s = prod.get(key, 0) + ac * bc
                 if s:
                     prod[key] = s
@@ -221,35 +195,27 @@ class MultiPoly:
 
     # -- substitution and evaluation -----------------------------------
 
-    def evaluate(self, q0, t0, xs: tuple = ()) -> Fraction:
+    def evaluate(self, q0, t0) -> Fraction:
         q0, t0 = Fraction(q0), Fraction(t0)
-        xs = tuple(Fraction(v) for v in xs)
         total = Fraction(0)
-        for (eq, et, xe), c in self.terms.items():
-            if len(xe) > len(xs):
-                raise ValueError(f"need {len(xe)} x-values, got {len(xs)}")
-            v = c * q0**eq * t0**et
-            for i, e in enumerate(xe):
-                if e:
-                    v *= xs[i] ** e
-            total += v
+        for (eq, et), c in self.terms.items():
+            total += c * q0**eq * t0**et
         return total
 
     def subs_q(self, q0, d: int) -> "MultiPoly":
-        """b^d * P(a/b, t, x) for q0 = a/b in lowest terms; d must be at
+        """b^d * P(a/b, t) for q0 = a/b in lowest terms; d must be at
         least the q-degree, so the result has integer coefficients."""
         q0 = Fraction(q0)
         a, b = q0.numerator, q0.denominator
         terms: dict[Key, int] = {}
-        for (eq, et, xe), c in self.terms.items():
-            key = (0, et, xe)
-            terms[key] = terms.get(key, 0) + c * a**eq * b ** (d - eq)
+        for (eq, et), c in self.terms.items():
+            terms[0, et] = terms.get((0, et), 0) + c * a**eq * b ** (d - eq)
         return MultiPoly(terms)
 
     def t_reversed(self) -> "MultiPoly":
         """t^deg_t * P(q, 1/t); the coefficient list reversed in t."""
         d = self.degree_t()
-        return MultiPoly({(eq, d - et, xe): c for (eq, et, xe), c in self.terms.items()})
+        return MultiPoly({(eq, d - et): c for (eq, et), c in self.terms.items()})
 
     def __repr__(self) -> str:
         from .qtx import poly_string
@@ -265,18 +231,8 @@ def _coerce(value) -> MultiPoly:
     return NotImplemented
 
 
-def _mul_xs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    return tuple(ai + bi for ai, bi in zip(a, b)) + a[len(b):]
-
-
 _POLY_ZERO = MultiPoly()
-_POLY_ONE = MultiPoly({(0, 0, ()): 1})
+_POLY_ONE = MultiPoly({(0, 0): 1})
 
 
 # ----------------------------------------------------------------------
@@ -377,8 +333,6 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return _gcd_normalise(a)
     if a.is_one() or b.is_one() or a == b:
         return _gcd_normalise(b if a == b else MultiPoly.one())
-    if a.has_x() or b.has_x():
-        raise ValueError("gcd is only defined for polynomials in q and t")
     return _gcd_normalise(_zgcd(a, b, 0))
 
 
@@ -409,17 +363,16 @@ def poly_divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     lb = b.leading_key()
     lbc = b.terms[lb]
     while rem:
-        w = max(len(k[2]) for k in rem)
-        la = max(rem, key=lambda k: order_key(k, w))
+        la = max(rem, key=order_key)
         kq, kt = la[0] - lb[0], la[1] - lb[1]
-        if kq < 0 or kt < 0 or la[2]:
+        if kq < 0 or kt < 0:
             raise ValueError("inexact polynomial division")
         c, r = divmod(rem[la], lbc)
         if r:
             raise ValueError("inexact polynomial division")
-        out[(kq, kt, ())] = c
-        for (bq, bt, _), bc in b.terms.items():
-            key = (bq + kq, bt + kt, ())
+        out[kq, kt] = c
+        for (bq, bt), bc in b.terms.items():
+            key = (bq + kq, bt + kt)
             s = rem.get(key, 0) - c * bc
             if s:
                 rem[key] = s

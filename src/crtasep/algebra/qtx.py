@@ -17,11 +17,33 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from ..errors import ParseError
-from .poly import MultiPoly, _mul_xs, _trim, order_key
+from .poly import MultiPoly
 from .ratfunc import RatFunc
 
 
+def _trim(xs: Iterable[int]) -> tuple[int, ...]:
+    xs = tuple(xs)
+    end = len(xs)
+    while end and xs[end - 1] == 0:
+        end -= 1
+    return xs[:end]
+
+
+def _mul_xs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(ai + bi for ai, bi in zip(a, b)) + a[len(b):]
+
+
 class QtxExpr:
+    """Trimmed x-exponent tuples mapped to nonzero coefficients, ``RatFunc``
+    in every public result.  The tableau and trace kernels hold integral
+    coefficients as ``MultiPoly`` (Z[q, t]) until a ``RatFunc`` multiplies them."""
+
     __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Mapping[tuple[int, ...], RatFunc] | None = None):
@@ -49,15 +71,8 @@ class QtxExpr:
         return QtxExpr({(): r})
 
     @staticmethod
-    def x_monomial(xs: Iterable[int], coeff: RatFunc | None = None) -> "QtxExpr":
+    def x_monomial(xs: Iterable[int], coeff: RatFunc | MultiPoly | None = None) -> "QtxExpr":
         return QtxExpr({tuple(xs): coeff if coeff is not None else RatFunc.one()})
-
-    @staticmethod
-    def from_multipoly(p: MultiPoly) -> "QtxExpr":
-        grouped: dict[tuple[int, ...], dict] = {}
-        for (eq, et, xs), c in p.terms.items():
-            grouped.setdefault(xs, {})[eq, et, ()] = c
-        return QtxExpr({xs: RatFunc(MultiPoly(terms)) for xs, terms in grouped.items()})
 
     # -- structure --------------------------------------------------------
 
@@ -83,8 +98,12 @@ class QtxExpr:
         return self.coeffs[()]
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], RatFunc]]:
+        """Descending graded lex, x1 > x2 > ...: sort on (degree, exponents
+        padded to a common width)."""
         w = self.nvars
-        return sorted(self.coeffs.items(), key=lambda kv: order_key((0, 0, kv[0]), w), reverse=True)
+        return sorted(
+            self.coeffs.items(), key=lambda kv: (sum(kv[0]),) + kv[0] + (0,) * (w - len(kv[0])), reverse=True
+        )
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -169,13 +188,10 @@ class QtxExpr:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, QtxExpr):
-            other = other.as_ratfunc()
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            other = RatFunc.one() * other if isinstance(other, MultiPoly) else RatFunc.const(other)
-        if not isinstance(other, RatFunc):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        inv = other.inverse()
+        inv = other.as_ratfunc().inverse()
         return QtxExpr({xs: c * inv for xs, c in self.coeffs.items()})
 
     def __pow__(self, n: int) -> "QtxExpr":
@@ -257,7 +273,7 @@ def _coerce(value):
     if isinstance(value, RatFunc):
         return QtxExpr.from_ratfunc(value)
     if isinstance(value, MultiPoly):
-        return QtxExpr.from_multipoly(value)
+        return QtxExpr.from_ratfunc(RatFunc(value))
     if isinstance(value, (int, Fraction)):
         return QtxExpr.from_ratfunc(RatFunc.const(value))
     return NotImplemented
@@ -285,8 +301,8 @@ def poly_string(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
     pieces = []
-    for (eq, et, xs), c in p.sorted_terms():
-        mon = _monomial_string(eq, et, xs)
+    for (eq, et), c in p.sorted_terms():
+        mon = _monomial_string(eq, et, ())
         mag = abs(c)
         if mag == 1 and mon:
             body = mon
@@ -420,7 +436,7 @@ class _Parser:
             return QtxExpr.from_ratfunc(RatFunc.const(val))
         if kind == "var":
             p = MultiPoly.q() if val == "q" else MultiPoly.t()
-            return QtxExpr.from_multipoly(p)
+            return QtxExpr.from_ratfunc(RatFunc(p))
         if kind == "xvar":
             return QtxExpr.x_monomial((0,) * (val - 1) + (1,))
         if kind == "op" and val == "(":
@@ -452,19 +468,11 @@ def parse(text: str) -> QtxExpr:
 
 
 def _poly_json(p: MultiPoly) -> list:
-    out = []
-    for (eq, et, xs), c in p.sorted_terms():
-        if xs:
-            raise ValueError("only q,t-polynomials appear in coefficients")
-        out.append([str(c), eq, et])
-    return out
+    return [[str(c), eq, et] for (eq, et), c in p.sorted_terms()]
 
 
 def _poly_from_json(entries) -> MultiPoly:
-    terms = {}
-    for c, eq, et in entries:
-        terms[(int(eq), int(et), ())] = int(c)
-    return MultiPoly(terms)
+    return MultiPoly({(int(eq), int(et)): int(c) for c, eq, et in entries})
 
 
 def to_json_dict(e: QtxExpr, nvars: int | None = None) -> dict:

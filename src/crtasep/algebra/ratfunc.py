@@ -27,8 +27,6 @@ class RatFunc:
             den = MultiPoly.one()
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.has_x() or den.has_x():
-            raise ValueError("rational functions live in q and t only")
         if num.is_zero():
             self.num, self.den = MultiPoly.zero(), MultiPoly.one()
         else:
@@ -249,7 +247,7 @@ def t_bracket(i: int) -> MultiPoly:
     """[i]_t = 1 + t + ... + t^(i-1); the empty sum 0 for i = 0."""
     if i < 0:
         raise ValueError("bracket index must be nonnegative")
-    return MultiPoly({(0, e, ()): 1 for e in range(i)})
+    return MultiPoly({(0, e): 1 for e in range(i)})
 
 
 @lru_cache(maxsize=None)

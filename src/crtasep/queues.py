@@ -154,7 +154,7 @@ def queue_weight(queue: TwoLineQueue) -> QtxExpr:
     for c in queue.bottom:
         exps[c - 1] += 1
     # q^a t^b (1-t)^e and prod (1 - q t^f) share no factors
-    num = MultiPoly.monomial(total_q, total_t, ()) * one_minus_t**edges
+    num = MultiPoly.monomial(total_q, total_t) * one_minus_t**edges
     coeff = RatFunc._reduced(num, den)
     return QtxExpr.x_monomial(exps, coeff)
 

@@ -14,7 +14,8 @@ ratio [r+l-a]!/[r+l]! and the answer is reduced once.  The partition
 function needs no tableaux: it is the product C(n, r+l) C(n, l).
 
 The values live in a small coefficient ``Ring`` of monomials and
-factorial ratios: ``SYMBOLIC`` (q,t,x monomials, giving Tab_qtx),
+factorial ratios: ``SYMBOLIC`` (x-monomials over Z[q, t], giving Tab_qtx;
+a body's coefficients become ``RatFunc`` only when a ratio multiplies it),
 ``T_ONLY`` (t-monomials, giving Tab_t) and ``point_ring`` (exact rationals
 at one point).  The trace recurrence in ``oracles.recurrence`` uses
 ``SYMBOLIC`` and ``point_ring``.
@@ -57,8 +58,12 @@ def _qtx_ratio(a: int, b: int) -> QtxExpr:
     return QtxExpr.from_ratfunc(qt_factorial_ratio(a, b))
 
 
-SYMBOLIC = Ring(MultiPoly.monomial, _qtx_ratio)
-T_ONLY = Ring(lambda rec, dis, exps: MultiPoly.monomial(0, dis, ()), t_factorial_ratio)
+def _qtx_term(rec: int, dis: int, exps) -> QtxExpr:
+    return QtxExpr.x_monomial(exps, MultiPoly.monomial(rec, dis))
+
+
+SYMBOLIC = Ring(_qtx_term, _qtx_ratio)
+T_ONLY = Ring(lambda rec, dis, exps: MultiPoly.monomial(0, dis), t_factorial_ratio)
 
 
 def point_ring(q0, t0, xs, n: int) -> Ring:
@@ -101,14 +106,15 @@ def _fixed_exps(diagram: Diagram, used) -> list[int]:
 def _row_factor(diagram: Diagram, d: int, cols, below, term):
     """Sum over the label orders of the arrows in ``cols`` of one row
     labeled d: q^rec t^dis x_d x_{every arrow but the last labeled}."""
-    total = 0
+    total = None
     for perm in itertools.permutations(cols):
         reading = reading_of(diagram, d, perm, below)
         exps = [0] * diagram.word.n
         exps[d - 1] = 1
         for c in perm[:-1]:
             exps[c - 1] += 1
-        total = total + term(recoils(reading), disorder(reading), exps)
+        v = term(recoils(reading), disorder(reading), exps)
+        total = v if total is None else total + v
     return total
 
 
@@ -119,7 +125,7 @@ def _tableau_sum(diagrams: list[Diagram], ring: Ring, tableau: Tableau | None = 
     count to body, then one factorial ratio per arrow count."""
     by_arr: dict[int, object] = {}
     for diagram in diagrams:
-        states = {frozenset(): 1}
+        states = {frozenset(): ring.term(0, 0, ())}
         for i in range(1, diagram.k + 1):
             d = diagram.row_label(i)
             after: dict[frozenset, object] = {}
@@ -169,7 +175,7 @@ def wt_qtx_ordered(tableau: Tableau, ordering: ArrowOrdering) -> QtxExpr:
         reading = row_reading(tableau, i, ordering)
         dis += disorder(reading)
         rec += recoils(reading)
-    return QtxExpr.from_multipoly(MultiPoly.monomial(rec, dis, ())) * wt_x(tableau, ordering)
+    return wt_x(tableau, ordering) * RatFunc(MultiPoly.monomial(rec, dis))
 
 
 def wt_qtx(tableau: Tableau) -> QtxExpr:

@@ -14,7 +14,7 @@ from crtasep.cli import main
 from crtasep.combinatorics import Word
 from crtasep.oracles.matrices import MAX_SIZE
 from crtasep.queues import TwoLineQueue, queue_type
-from crtasep.verify import SUITES
+from crtasep.verify import MAX_BOUND_N, SUITES
 from crtasep.weights import macdonald_E, tab_qtx
 
 
@@ -213,6 +213,15 @@ def test_verify_negative_bound_exits_2(capsys):
     code, out, err = run(capsys, "verify", "markov", "-3", "0")
     assert code == 2 and out == ""
     assert "bound_n must be at least 0" in err
+
+
+def test_oversized_verify_bound_exits_2(capsys):
+    # MAX_BOUND_N + 1 first: a build without the bound would list the
+    # instances of every word up to length 11 (about 700 MB) before failing
+    for argv in (("numeric-trace", str(MAX_BOUND_N + 1), "0"), ("markov", "1000000000", "0")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert f"at most {MAX_BOUND_N}" in err and "Traceback" not in err
 
 
 def test_long_states_word_needs_no_recursion(capsys):

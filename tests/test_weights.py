@@ -5,6 +5,7 @@ brute-force oracles (direct enumeration over tableaux and orderings with
 no row factorisation) guard the production paths.
 """
 
+import itertools
 from fractions import Fraction
 from math import comb, factorial
 
@@ -16,6 +17,7 @@ from crtasep.algebra import (
     MultiPoly,
     QtxExpr,
     RatFunc,
+    canonical_string,
     parse,
     qt_factorial_ratio,
     qtx_sum,
@@ -32,6 +34,7 @@ from crtasep.combinatorics import (
     enumerate_tableaux,
 )
 from crtasep.errors import NotAPartition
+from crtasep.oracles.recurrence import f_mu, trace_by_recurrence
 from crtasep.weights import (
     macdonald_E,
     macdonald_P,
@@ -289,3 +292,19 @@ def test_positivity_normalisation():
         assert all(
             c.denominator == 1 and c > 0 for c in normal.as_poly().terms.values()
         )
+
+
+def test_kernel_coefficients_are_ratfuncs():
+    """The kernels accumulate over Z[q, t] (MultiPoly coefficients); every
+    answer they return has RatFunc coefficients, so it hashes like the same
+    expression parsed from text."""
+    mus = [W("".join(map(str, ls))) for n in range(1, 5) for ls in itertools.product((0, 1, 2), repeat=n)]
+    mus.append(W("2211000"))
+    for mu in mus:
+        exprs = [tab_qtx(mu), trace_by_recurrence(mu), f_mu(mu)]
+        if list(mu.letters) == sorted(mu.letters, reverse=True):
+            exprs += [macdonald_E(mu), macdonald_P(mu)]
+        for e in exprs:
+            assert all(type(c) is RatFunc for c in e.coeffs.values()), mu
+            back = parse(canonical_string(e))
+            assert back == e and hash(back) == hash(e), mu
