@@ -26,7 +26,38 @@ def order_key(key: Key) -> tuple[int, int]:
     return (key[0] + key[1], key[0])
 
 
-class MultiPoly:
+class Arithmetic:
+    """``-`` and non-negative ``**`` from a subclass's own ``__add__``, ``__neg__``,
+    ``__mul__``, ``one()`` and ``_coerce`` (an operand in the subclass, or NotImplemented)."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        result = self.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+
+class MultiPoly(Arithmetic):
     """Immutable sparse polynomial over the integers."""
 
     __slots__ = ("terms", "_hash")
@@ -138,18 +169,6 @@ class MultiPoly:
         out._hash = None
         return out
 
-    def __sub__(self, other) -> "MultiPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "MultiPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "MultiPoly":
         other = _coerce(other)
         if other is NotImplemented:
@@ -171,18 +190,6 @@ class MultiPoly:
         return out
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = _POLY_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def divide_content(self, c: int) -> "MultiPoly":
         """The quotient by a nonzero integer c that divides every coefficient."""
@@ -231,6 +238,8 @@ def _coerce(value) -> MultiPoly:
     return NotImplemented
 
 
+MultiPoly._coerce = staticmethod(_coerce)
+
 _POLY_ZERO = MultiPoly()
 _POLY_ONE = MultiPoly({(0, 0): 1})
 
@@ -267,10 +276,13 @@ _POLY_ONE = MultiPoly({(0, 0): 1})
 
 def _at(p: MultiPoly, var: int, xi: int) -> MultiPoly:
     """p with the variable at key position ``var`` (0: q, 1: t) set to xi."""
+    powers = [1]
+    for _ in range(max(key[var] for key in p.terms)):
+        powers.append(powers[-1] * xi)
     terms: dict[Key, int] = {}
     for key, c in p.terms.items():
         k = key[:var] + (0,) + key[var + 1:]
-        terms[k] = terms.get(k, 0) + c * xi ** key[var]
+        terms[k] = terms.get(k, 0) + c * powers[key[var]]
     return MultiPoly(terms)
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from ..errors import ParseError
-from .poly import MultiPoly
+from .poly import Arithmetic, MultiPoly
 from .ratfunc import RatFunc
 
 
@@ -39,12 +39,12 @@ def _mul_xs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(ai + bi for ai, bi in zip(a, b)) + a[len(b):]
 
 
-class QtxExpr:
+class QtxExpr(Arithmetic):
     """Trimmed x-exponent tuples mapped to nonzero coefficients, ``RatFunc``
     in every public result.  The tableau and trace kernels hold integral
     coefficients as ``MultiPoly`` (Z[q, t]) until a ``RatFunc`` multiplies them."""
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[tuple[int, ...], RatFunc] | None = None):
         clean: dict[tuple[int, ...], RatFunc] = {}
@@ -54,7 +54,6 @@ class QtxExpr:
                     continue
                 clean[_trim(xs)] = c
         self.coeffs = clean
-        self._hash: int | None = None
 
     # -- constructors ----------------------------------------------------
 
@@ -116,9 +115,7 @@ class QtxExpr:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self.coeffs.items()))
-        return self._hash
+        return hash(frozenset(self.coeffs.items()))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -140,7 +137,6 @@ class QtxExpr:
                 coeffs[xs] = s
         out = QtxExpr.__new__(QtxExpr)
         out.coeffs = coeffs
-        out._hash = None
         return out
 
     __radd__ = __add__
@@ -148,20 +144,7 @@ class QtxExpr:
     def __neg__(self) -> "QtxExpr":
         out = QtxExpr.__new__(QtxExpr)
         out.coeffs = {xs: -c for xs, c in self.coeffs.items()}
-        out._hash = None
         return out
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other) -> "QtxExpr":
         other = _coerce(other)
@@ -182,7 +165,6 @@ class QtxExpr:
                     coeffs[key] = s
         out = QtxExpr.__new__(QtxExpr)
         out.coeffs = coeffs
-        out._hash = None
         return out
 
     __rmul__ = __mul__
@@ -193,18 +175,6 @@ class QtxExpr:
             return NotImplemented
         inv = other.as_ratfunc().inverse()
         return QtxExpr({xs: c * inv for xs, c in self.coeffs.items()})
-
-    def __pow__(self, n: int) -> "QtxExpr":
-        if n < 0:
-            raise ValueError("negative power of an x-expression")
-        out = QtxExpr.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- evaluation, substitution, symmetry --------------------------------
 
@@ -277,6 +247,9 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return QtxExpr.from_ratfunc(RatFunc.const(value))
     return NotImplemented
+
+
+QtxExpr._coerce = staticmethod(_coerce)
 
 
 # ----------------------------------------------------------------------

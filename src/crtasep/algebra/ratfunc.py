@@ -16,11 +16,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ..errors import PoleError
-from .poly import MultiPoly, poly_divexact, poly_gcd, signed_content
+from .poly import Arithmetic, MultiPoly, poly_divexact, poly_gcd, signed_content
 
 
-class RatFunc:
-    __slots__ = ("num", "den", "_hash")
+class RatFunc(Arithmetic):
+    __slots__ = ("num", "den")
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
         if den is None:
@@ -35,9 +35,7 @@ class RatFunc:
                 if not g.is_one():
                     num = poly_divexact(num, g)
                     den = poly_divexact(den, g)
-            num, den = _normalise_pair(num, den)
-            self.num, self.den = num, den
-        self._hash = None
+            self.num, self.den = _normalise_pair(num, den)
 
     @staticmethod
     def _reduced(num: MultiPoly, den: MultiPoly) -> "RatFunc":
@@ -47,7 +45,6 @@ class RatFunc:
             out.num, out.den = MultiPoly.zero(), MultiPoly.one()
         else:
             out.num, out.den = _normalise_pair(num, den)
-        out._hash = None
         return out
 
     # -- constructors --------------------------------------------------
@@ -91,9 +88,7 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     # -- field arithmetic ----------------------------------------------
 
@@ -126,20 +121,8 @@ class RatFunc:
 
     def __neg__(self) -> "RatFunc":
         out = RatFunc.__new__(RatFunc)
-        out.num, out.den, out._hash = -self.num, self.den, None
+        out.num, out.den = -self.num, self.den
         return out
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -232,6 +215,8 @@ def _coerce(value) -> "RatFunc":
         return RatFunc.const(value)
     return NotImplemented
 
+
+RatFunc._coerce = staticmethod(_coerce)
 
 _RF_ZERO = RatFunc(MultiPoly.zero())
 _RF_ONE = RatFunc(MultiPoly.one())

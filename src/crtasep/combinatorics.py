@@ -251,19 +251,15 @@ def is_free(tableau: Tableau, row: int, col: int) -> bool:
 
 @dataclass(frozen=True)
 class PartialPerm:
-    """A row reading: values are None for a star, 0 for the seam marker and
-    1..s for arrow labels; cols backtrack each entry to its column label
-    (the seam entry carries the row label)."""
+    """A row reading, left to right: None for a star, 0 for the seam marker
+    and 1..s for the arrow labels."""
 
     values: tuple[int | None, ...]
-    cols: tuple[int, ...] | None = None
 
     def __post_init__(self):
         labels = sorted(v for v in self.values if v is not None)
         if labels != list(range(len(labels))):
             raise ValueError(f"labels must be exactly 0..s: {self.values}")
-        if self.cols is not None and len(self.cols) != len(self.values):
-            raise ValueError("one column reference per entry")
 
     @staticmethod
     def from_string(text: str) -> "PartialPerm":
@@ -285,11 +281,6 @@ class PartialPerm:
         """Number of numbered labels (excluding the 0)."""
         return sum(1 for v in self.values if v is not None) - 1
 
-    def col_of(self, value: int) -> int:
-        if self.cols is None:
-            raise ValueError("no column references recorded")
-        return self.cols[self.values.index(value)]
-
 
 def reading_of(diagram: Diagram, d: int, order: Sequence[int], below: AbstractSet[int]) -> PartialPerm:
     """Reading of the row labeled d whose arrows sit in the columns
@@ -305,7 +296,7 @@ def reading_of(diagram: Diagram, d: int, order: Sequence[int], below: AbstractSe
             entries.append((c, None))  # free tile
         # else: non-free empty tile, omitted
     entries.sort()
-    return PartialPerm(tuple(v for _, v in entries), tuple(c for c, _ in entries))
+    return PartialPerm(tuple(v for _, v in entries))
 
 
 def row_reading(tableau: Tableau, i: int, ordering: ArrowOrdering) -> PartialPerm:
@@ -355,20 +346,20 @@ def cycling(p: PartialPerm) -> int:
     return crossings
 
 
-def partial_perms(labels: Sequence[int], universe: Sequence[int], d: int) -> Iterator[PartialPerm]:
-    """All total orders of ``labels`` within ``universe`` (both sets of
-    column positions), with the 0 inserted at the rank of ``d``.
+def partial_perms(labels: Sequence[int], universe: Sequence[int], d: int) -> Iterator[tuple[tuple, PartialPerm]]:
+    """Each total order of ``labels`` within ``universe`` (both sets of
+    column positions), with its reading: the order's positions labeled
+    1, 2, ..., the rest stars, and the 0 inserted at the rank of ``d``.
 
     Feeds the trace recurrence: universe is EA of the current word, labels
     the deleted subset I, d the peeled 0-position.
     """
     universe = sorted(universe)
     slots = {c: idx for idx, c in enumerate(universe)}
-    base_cols = sorted(universe + [d])
-    insert_at = base_cols.index(d)
-    for perm in itertools.permutations(labels):
+    insert_at = sum(1 for c in universe if c < d)
+    for order in itertools.permutations(labels):
         values: list[int | None] = [None] * len(universe)
-        for label_minus_one, col in enumerate(perm):
+        for label_minus_one, col in enumerate(order):
             values[slots[col]] = label_minus_one + 1
         values.insert(insert_at, 0)
-        yield PartialPerm(tuple(values), tuple(base_cols))
+        yield order, PartialPerm(tuple(values))

@@ -88,13 +88,13 @@ def _trace(labeled: Labeled, strategy: str, ring: Ring, memo: dict):
             sub = tuple(entry for entry in labeled if entry[0] not in removed)
             subtrace = _trace(sub, strategy, ring, memo)
             acc = 0
-            for perm in partial_perms(subset, ea, d):
+            for order, reading in partial_perms(subset, ea, d):
                 exps = [0] * n_top
                 for c in subset:
                     exps[c - 1] += 2
                 exps[d - 1] += 1
-                exps[perm.col_of(s) - 1] -= 1  # the last deleted position (d itself when s=0)
-                acc = acc + ring.term(recoils(perm), disorder(perm), exps)
+                exps[(order[-1] if order else d) - 1] -= 1  # the last deleted position
+                acc = acc + ring.term(recoils(reading), disorder(reading), exps)
             total = total + subtrace * acc * ratio
     memo[labeled] = total
     return total

@@ -142,6 +142,22 @@ def test_poly_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    _check_shared_operators(a, b)
+
+
+def _check_shared_operators(a, b):
+    """Subtraction, powers and hashing, which the three algebra types share."""
+    assert a - b == a + (-b)
+    assert 3 - a == -(a - 3)
+    assert a**3 == a * a * a
+    assert (a**0).is_one()
+    assert hash(a * b) == hash(b * a)
+
+
+def test_negative_power_needs_a_field():
+    for a in (Q() + 1, QtxExpr.x_monomial((1,))):
+        with pytest.raises(ValueError):
+            a**-1
 
 
 def _associates(f, g):
@@ -204,6 +220,7 @@ def test_gcd_of_high_degree_brackets():
     for j in range(1, 13):  # prod (1 - q t^j): q-degree 12, t-degree 78, primitive, lc 1
         d = d * (one - Q() * T(j))
     assert poly_gcd(d * (one - T()) ** 6 * (Q(2) + T(5) + 3), d * (one + Q() * T(3)) ** 4) == d
+    assert poly_gcd(d, d * (one - T()) ** 8) == d
     want = t_factorial(10) * (one + T(3))  # 1 + t^3 divides [12]_t, primitive, lc 1
     assert poly_gcd(t_factorial(14), want) == want
 
@@ -240,9 +257,11 @@ def test_field_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a + (b + c) == (a + b) + c
     assert (a - a).is_zero()
+    _check_shared_operators(a, b)
     if not b.is_zero():
         assert (a / b) * b == a
         assert b * b.inverse() == RatFunc.one()
+        assert b**-2 == (b**2).inverse()
 
 
 @settings(max_examples=80, deadline=None)
@@ -345,6 +364,7 @@ def test_parse_errors_carry_position():
 @given(qtx_exprs())
 def test_text_round_trip(e):
     assert parse(canonical_string(e)) == e
+    assert (1 - e) * (e - 2) == 3 * e - e**2 - 2
 
 
 def test_text_round_trip_bulk():

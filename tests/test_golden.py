@@ -4,17 +4,21 @@ partitions), both peeling strategies of the trace recurrence, the
 two-line queues of a type with their weights, and the numeric truncated
 trace (the adaptive float's repr and one exact truncation), on every word
 with n <= 5, recorded from a commit whose answers were trusted.
+``test_digest_n6`` checks one sha256 over the digests of every word with
+n <= 6 against ``DIGEST_N6``.
 
 Re-record (only when the canonical form changes on purpose) from the
 repository root with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
-To check that a change keeps output byte-identical beyond n = 5, print one
-sha256 over the digests of every word with n <= N on both trees and compare;
-this writes nothing:
+and, in the same change, set ``DIGEST_N6`` to what this prints; change the
+constant only together with such a re-record:
 
     PYTHONPATH=src python3 tests/test_golden.py --digest 6
+
+The same command with a larger N prints the sha256 for n <= N, to compare two
+trees beyond n = 6; it writes nothing.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from crtasep.queues import enumerate_queues, queue_weight
 from crtasep.weights import macdonald_P, partition_function, tab_qtx, tab_t
 
 GOLDEN = Path(__file__).parent / "data" / "golden_n5.json"
+DIGEST_N6 = "65cf2d6ecfb6ea5110b77fb9d0bbc830d897a79c9e1fc9ee0270b30f9f22278e"
 
 
 def words(max_n: int) -> list[str]:
@@ -74,11 +79,20 @@ def digests(word: str) -> dict[str, str]:
     return out
 
 
+def digest(max_n: int) -> str:
+    """One sha256 over the digests of every word with n <= max_n."""
+    return _sha(json.dumps({w: digests(w) for w in words(max_n)}, sort_keys=True))
+
+
 def test_golden_n5():
     golden = json.loads(GOLDEN.read_text())
     assert len(WORDS) == 363 and sorted(golden) == sorted(WORDS)
     mismatched = [w for w in WORDS if digests(w) != golden[w]]
     assert not mismatched, f"canonical output changed on {mismatched[:10]} ({len(mismatched)} words)"
+
+
+def test_digest_n6():
+    assert digest(6) == DIGEST_N6
 
 
 if __name__ == "__main__":
@@ -90,4 +104,4 @@ if __name__ == "__main__":
     if max_n is None:
         GOLDEN.write_text(json.dumps({w: digests(w) for w in WORDS}, indent=0, sort_keys=True) + "\n")
     else:
-        print(_sha(json.dumps({w: digests(w) for w in words(max_n)}, sort_keys=True)))
+        print(digest(max_n))
