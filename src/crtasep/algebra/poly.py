@@ -47,14 +47,15 @@ class Arithmetic:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError(f"negative power of a {type(self).__name__}")
-        result = self.one()
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return self.one() if result is None else result
 
 
 class MultiPoly(Arithmetic):

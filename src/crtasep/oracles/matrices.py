@@ -10,7 +10,11 @@ Matrices (rows and columns indexed from 0):
 An N-truncation is stored by its diagonals, ``{d: [entry (i, i + d) for
 row i in 0..N-1]}``, with 0 where (i, i + d) is off the matrix.  Every
 factor has at most one off-diagonal, so a product adds at most two terms
-per entry and the trace is the sum of diagonal 0.  A truncation to N rows
+per entry and the trace is the sum of diagonal 0.  A0 moves a diagonal up
+by 1, A2 down by 1, A1 and S not at all, so after each factor
+``product_trace`` computes only the diagonals d with -(A0s left) <= d <=
+(A2s left), the ones that can still reach diagonal 0; each of them gets the
+same terms in the same order as without pruning.  A truncation to N rows
 is exact on entries (i, j) with i, j <= N-2 for a product of two bands,
 which is what the relation checks use.  Truncations are at most
 ``MAX_SIZE`` rows.
@@ -19,7 +23,6 @@ which is what the relation checks use.  Truncations are at most
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
 from ..combinatorics import Word
 from ..errors import DivergenceError, NoConvergence, RelationViolation
@@ -50,33 +53,31 @@ def banded_matrix(kind: str, x, size: int, q=None, t=None) -> Banded:
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
-def banded_mul(a: Banded, b: Banded) -> Banded:
+def banded_mul(a: Banded, b: Banded, keep: range | None = None) -> Banded:
     """Product of two truncations: entry (i, i + da + db) gains
-    a[da][i] * b[db][i + da] wherever row i + da exists."""
+    a[da][i] * b[db][i + da] wherever row i + da exists.  Only the diagonals
+    in ``keep`` are computed, when it is given."""
     out: Banded = {}
     for da, ra in a.items():
         for db, rb in b.items():
+            if keep is not None and da + db not in keep:
+                continue
             row = out.setdefault(da + db, [0] * len(ra))
             for i in range(max(0, -da), min(len(ra), len(ra) - da)):
                 row[i] += ra[i] * rb[i + da]
     return out
 
 
-def _word_matrices(mu: Word, q0, t0, xs, size: int) -> Iterator[Banded]:
-    """The factors of the product in order, built one at a time: only the
-    running product and the next factor are alive at once."""
-    kinds = {0: "A0", 1: "A1", 2: "A2"}
-    for i, a in enumerate(mu.letters):
-        yield banded_matrix(kinds[a], xs[i], size, q=q0, t=t0)
-    yield banded_matrix("S", None, size, q=q0, t=t0)
-
-
 def product_trace(mu: Word, q0, t0, xs, size: int) -> Fraction:
-    """Exact trace of the N-truncation of A_{mu_1}(x_1)...A_{mu_n}(x_n) S."""
-    mats = _word_matrices(mu, q0, t0, xs, size)
-    prod = next(mats)
-    for m in mats:
-        prod = banded_mul(prod, m)
+    """Exact trace of the N-truncation of A_{mu_1}(x_1)...A_{mu_n}(x_n) S.
+    The factors are built one at a time, and each product keeps only the
+    diagonals that can still reach diagonal 0."""
+    factors = [(("A0", "A1", "A2")[a], x) for a, x in zip(mu.letters, xs)] + [("S", None)]
+    prod = banded_matrix(*factors[0], size, q=q0, t=t0)
+    for j, (kind, x) in enumerate(factors[1:], start=1):
+        rest = mu.letters[j + 1 :]  # the A0s and A2s still to come
+        keep = range(-rest.count(0), rest.count(2) + 1)
+        prod = banded_mul(prod, banded_matrix(kind, x, size, q=q0, t=t0), keep)
     return sum(v for v in prod[0] if v)  # an all-zero trace stays the integer 0
 
 

@@ -17,8 +17,10 @@ The values live in a small coefficient ``Ring`` of monomials and
 factorial ratios: ``SYMBOLIC`` (x-monomials over Z[q, t], giving Tab_qtx;
 a body's coefficients become ``RatFunc`` only when a ratio multiplies it),
 ``T_ONLY`` (t-monomials, giving Tab_t) and ``point_ring`` (exact rationals
-at one point).  The trace recurrence in ``oracles.recurrence`` uses
-``SYMBOLIC`` and ``point_ring``.
+at one point, each monomial built from integer powers of the numerators and
+denominators of q0, t0 and the x_i into one ``Fraction``, so one gcd per
+term).  The trace recurrence in ``oracles.recurrence`` uses ``SYMBOLIC`` and
+``point_ring``.
 """
 
 from __future__ import annotations
@@ -74,13 +76,18 @@ def point_ring(q0, t0, xs, n: int) -> Ring:
     if len(xs) != n:
         raise ValueError(f"need {n} x-values")
     ratios: dict[tuple[int, int], Fraction] = {}
+    (qn, qd), (tn, td) = q0.as_integer_ratio(), t0.as_integer_ratio()
+    xs_nd = [x.as_integer_ratio() for x in xs]
 
     def term(rec: int, dis: int, exps) -> Fraction:
-        v = q0**rec * t0**dis
-        for x, e in zip(xs, exps):
+        # exponents are never negative (x_last cancels x_d or an x_i^2), so
+        # the powers stay ints: an int to a negative power is a float
+        num, den = qn**rec * tn**dis, qd**rec * td**dis
+        for (xn, xd), e in zip(xs_nd, exps):
             if e:
-                v *= x**e
-        return v
+                num *= xn**e
+                den *= xd**e
+        return Fraction(num, den)
 
     def ratio(a: int, b: int) -> Fraction:
         if (a, b) not in ratios:

@@ -160,6 +160,28 @@ def test_negative_power_needs_a_field():
             a**-1
 
 
+def test_powers_square_only_what_they_use(monkeypatch):
+    base = 1 - T()
+    calls = []
+    mul = MultiPoly.__mul__
+
+    def counting_mul(self, other):
+        calls.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+    eighth = base**8
+    monkeypatch.undo()
+    # three squarings: no product by one, no square past the top bit
+    assert len(calls) == 3
+    assert eighth == base * base * base * base * base * base * base * base
+    for a in (base, RatFunc(Q() + 2, 1 - T()), parse("x1 - q*x2^2/(1 - t)")):
+        want = a.one()
+        for n in range(10):
+            assert a**n == want, (a, n)
+            want = want * a
+
+
 def _associates(f, g):
     """f is a nonzero rational multiple of g: lc(g) f = lc(f) g."""
     return not f.is_zero() and not g.is_zero() and f * g.leading_coeff() == g * f.leading_coeff()

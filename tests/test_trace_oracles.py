@@ -71,6 +71,17 @@ def test_trace_rec_eval_matches_symbolic():
                 assert trace_rec_eval(mu, q0, t0, xs, strategy) == want, (mu, strategy)
 
 
+def test_point_paths_at_signed_and_zero_points():
+    # negative q0 and x_i and a zero x_i: the integer monomials keep signs and zeros
+    q0, t0 = Fraction(-3, 4), Fraction(2, 7)
+    xs = (Fraction(-5, 3), Fraction(0), Fraction(7, 2), Fraction(-1, 9))
+    for n in range(1, 5):
+        for letters in itertools.product((0, 1, 2), repeat=n):
+            mu, point = Word(letters), (q0, t0, xs[:n])
+            assert tab_qtx_eval(mu, *point) == tab_qtx(mu).evaluate(*point), mu
+            assert trace_rec_eval(mu, *point) == trace_by_recurrence(mu).evaluate(*point), mu
+
+
 def test_recurrence_retains_nothing_between_calls():
     words = [Word(letters) for letters in itertools.product((0, 1, 2), repeat=5)]
     poly_gcd.cache_clear()
@@ -248,3 +259,28 @@ def test_product_trace_matches_dense_product():
                     prod = _dense_mul(_dense(kinds[a], x, size, q0, t0), prod)
                 expected = sum(prod[i][i] for i in range(size))
                 assert product_trace(Word(letters), q0, t0, xs[:n], size) == expected, (letters, size)
+
+
+def _unpruned_trace(mu, q0, t0, xs, size):
+    """The trace of the full banded product, every diagonal of every factor kept."""
+    kinds = ("A0", "A1", "A2")
+    mats = [banded_matrix(kinds[a], x, size, q=q0, t=t0) for a, x in zip(mu.letters, xs)]
+    prod = mats[0]
+    for m in mats[1:] + [banded_matrix("S", None, size, q=q0, t=t0)]:
+        prod = banded_mul(prod, m)
+    return sum(v for v in prod[0] if v)
+
+
+def test_pruned_product_trace_is_bit_identical():
+    q0, t0 = Fraction(2, 7), Fraction(3, 5)
+    xs = (Fraction(-5, 3), Fraction(1, 2), Fraction(7, 4), Fraction(-2, 9), Fraction(3, 2))
+    fq, ft, fxs = float(q0), float(t0), tuple(float(x) for x in xs)
+    for n in range(1, 6):
+        for letters in itertools.product((0, 1, 2), repeat=n):
+            mu = Word(letters)
+            for size in (1, 2, 7):
+                want = _unpruned_trace(mu, q0, t0, xs[:n], size)
+                assert product_trace(mu, q0, t0, xs[:n], size) == want, (letters, size)
+            for size in (64, 128):
+                got = product_trace(mu, fq, ft, fxs[:n], size)
+                assert got == _unpruned_trace(mu, fq, ft, fxs[:n], size), (letters, size)
