@@ -8,7 +8,6 @@ from .qtx import (
     from_json_dict,
     parse,
     poly_string,
-    qtx_sum,
     ratfunc_string,
     to_json,
     to_json_dict,
@@ -37,7 +36,6 @@ __all__ = [
     "qt_bracket",
     "qt_factorial",
     "qt_factorial_ratio",
-    "qtx_sum",
     "ratfunc_string",
     "t_bracket",
     "t_factorial",

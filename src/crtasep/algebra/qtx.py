@@ -50,9 +50,11 @@ class QtxExpr(Arithmetic):
         clean: dict[tuple[int, ...], RatFunc] = {}
         if coeffs:
             for xs, c in coeffs.items():
-                if c.is_zero():
-                    continue
-                clean[_trim(xs)] = c
+                key = _trim(xs)
+                if key in clean:  # keys equal once trimmed: one monomial
+                    c = clean.pop(key) + c
+                if not c.is_zero():
+                    clean[key] = c
         self.coeffs = clean
 
     # -- constructors ----------------------------------------------------
@@ -199,10 +201,7 @@ class QtxExpr(Arithmetic):
         if q_to is not None:
             out = QtxExpr({xs: c.subs_q(q_to) for xs, c in out.coeffs.items()})
         if x_to_one:
-            total = RatFunc.zero()
-            for c in out.coeffs.values():
-                total = total + c
-            out = QtxExpr({(): total})
+            out = QtxExpr({(): sum(out.coeffs.values(), RatFunc.zero())})
         return out
 
     def swap_x(self, i: int) -> "QtxExpr":
@@ -211,30 +210,11 @@ class QtxExpr(Arithmetic):
         for xs, c in self.coeffs.items():
             lst = list(xs) + [0] * (i + 1 - len(xs))
             lst[i - 1], lst[i] = lst[i], lst[i - 1]
-            key = _trim(lst)
-            s = coeffs.get(key)
-            s = c if s is None else s + c
-            if not s.is_zero():
-                coeffs[key] = s
-            else:
-                coeffs.pop(key, None)
+            coeffs[tuple(lst)] = c  # a swap maps distinct monomials to distinct ones
         return QtxExpr(coeffs)
 
     def __repr__(self) -> str:
         return f"QtxExpr({canonical_string(self)})"
-
-
-def qtx_sum(exprs) -> QtxExpr:
-    """Sum many expressions, accumulating polynomial numerators per
-    (x-monomial, denominator) so each distinct denominator is reduced once."""
-    groups: dict[tuple[int, ...], dict[MultiPoly, MultiPoly]] = {}
-    for e in exprs:
-        for xs, c in e.coeffs.items():
-            by_den = groups.setdefault(xs, {})
-            by_den[c.den] = by_den[c.den] + c.num if c.den in by_den else c.num
-    return QtxExpr(
-        {xs: sum((RatFunc(num, den) for den, num in by_den.items()), RatFunc.zero()) for xs, by_den in groups.items()}
-    )
 
 
 def _coerce(value):
@@ -444,8 +424,20 @@ def _poly_json(p: MultiPoly) -> list:
     return [[str(c), eq, et] for (eq, et), c in p.sorted_terms()]
 
 
+def _checked(key: tuple[int, ...], seen, what: str) -> tuple[int, ...]:
+    """An exponent tuple read from JSON, if nonnegative and new to ``seen``."""
+    if any(e < 0 for e in key):
+        raise ValueError(f"negative exponent in {what} {list(key)}")
+    if key in seen:
+        raise ValueError(f"repeated {what} {list(key)}")
+    return key
+
+
 def _poly_from_json(entries) -> MultiPoly:
-    return MultiPoly({(int(eq), int(et)): int(c) for c, eq, et in entries})
+    coeffs: dict[tuple[int, ...], int] = {}
+    for c, eq, et in entries:
+        coeffs[_checked((int(eq), int(et)), coeffs, "(q, t) exponents")] = int(c)
+    return MultiPoly(coeffs)
 
 
 def to_json_dict(e: QtxExpr, nvars: int | None = None) -> dict:
@@ -465,9 +457,11 @@ def to_json_dict(e: QtxExpr, nvars: int | None = None) -> dict:
 
 
 def from_json_dict(doc: dict) -> QtxExpr:
+    """Read the JSON form.  A repeated monomial, in x or in one polynomial's
+    (q, t), or a negative exponent raises ValueError."""
     coeffs = {}
     for term in doc["terms"]:
-        xs = _trim(int(a) for a in term["x"])
+        xs = _checked(_trim(int(a) for a in term["x"]), coeffs, "x exponents")
         coeffs[xs] = RatFunc(_poly_from_json(term["num"]), _poly_from_json(term["den"]))
     return QtxExpr(coeffs)
 

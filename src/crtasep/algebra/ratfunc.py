@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from ..errors import PoleError
 from .poly import Arithmetic, MultiPoly, poly_divexact, poly_gcd, signed_content
@@ -265,21 +266,20 @@ def qt_factorial(i: int) -> RatFunc:
 
 @lru_cache(maxsize=None)
 def qt_factorial_ratio(a: int, b: int) -> RatFunc:
-    """[a]_qt! / [b]_qt! for a <= b, i.e. 1 / ([a+1][a+2]...[b])."""
+    """[a]_qt! / [b]_qt! for a <= b, i.e. (1 - t)^(b-a) / ((1 - q t^(a+1))
+    ... (1 - q t^b)).  No gcd: 1 - t divides no 1 - q t^j, as at t = 1 that
+    factor is 1 - q."""
     if a > b:
         raise ValueError("ratio expects a <= b")
-    out = _RF_ONE
-    for j in range(a + 1, b + 1):
-        out = out / qt_bracket(j)
-    return out
+    one = MultiPoly.one()
+    den = prod((one - MultiPoly.q() * MultiPoly.t(j) for j in range(a + 1, b + 1)), start=one)
+    return RatFunc._reduced((one - MultiPoly.t()) ** (b - a), den)
 
 
 @lru_cache(maxsize=None)
 def t_factorial_ratio(a: int, b: int) -> RatFunc:
-    """[a]_t! / [b]_t! for a <= b."""
+    """[a]_t! / [b]_t! for a <= b, i.e. 1 / ([a+1]_t ... [b]_t)."""
     if a > b:
         raise ValueError("ratio expects a <= b")
-    out = _RF_ONE
-    for j in range(a + 1, b + 1):
-        out = out / RatFunc(t_bracket(j))
-    return out
+    den = prod(map(t_bracket, range(a + 1, b + 1)), start=MultiPoly.one())
+    return RatFunc._reduced(MultiPoly.one(), den)

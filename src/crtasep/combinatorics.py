@@ -13,14 +13,17 @@ Conventions, fixed once and used by every weight formula:
   right-to-left scan of the drawn strip) with a 0 inserted at the rank the
   row label would occupy among the column labels.  Arrows are recorded by
   their order label, rhombic tiles and free square tiles by a star, and
-  empty square tiles with an arrow strictly below are omitted.
+  empty square tiles with an arrow strictly below are omitted.  One builder,
+  ``partial_perms``, makes every reading: the tableau kernel's, the trace
+  recurrence's and ``row_reading``'s.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import NotAPartition
 
@@ -282,27 +285,12 @@ class PartialPerm:
         return sum(1 for v in self.values if v is not None) - 1
 
 
-def reading_of(diagram: Diagram, d: int, order: Sequence[int], below: AbstractSet[int]) -> PartialPerm:
-    """Reading of the row labeled d whose arrows sit in the columns
-    ``order`` (in label order), when the columns ``below`` hold an arrow
-    in a lower row.  This is all a reading depends on."""
-    entries: list[tuple[int, int | None]] = [(d, 0)]
-    for c in diagram.rhombic_cols:
-        entries.append((c, None))
-    for c in diagram.square_cols:
-        if c in order:
-            entries.append((c, order.index(c) + 1))
-        elif c not in below:
-            entries.append((c, None))  # free tile
-        # else: non-free empty tile, omitted
-    entries.sort()
-    return PartialPerm(tuple(v for _, v in entries))
-
-
 def row_reading(tableau: Tableau, i: int, ordering: ArrowOrdering) -> PartialPerm:
     """Reading of the row with bottom-to-top index i under an ordering."""
     below = {c for c, j in tableau.arrows if j < i}
-    return reading_of(tableau.diagram, tableau.diagram.row_label(i), ordering.row_order(i), below)
+    universe = [c for c in tableau.diagram.word.ea() if c not in below]
+    # itertools.permutations yields its input order first
+    return next(partial_perms(ordering.row_order(i), universe, tableau.diagram.row_label(i)))[1]
 
 
 def disorder(p: PartialPerm) -> int:
@@ -347,19 +335,22 @@ def cycling(p: PartialPerm) -> int:
 
 
 def partial_perms(labels: Sequence[int], universe: Sequence[int], d: int) -> Iterator[tuple[tuple, PartialPerm]]:
-    """Each total order of ``labels`` within ``universe`` (both sets of
-    column positions), with its reading: the order's positions labeled
-    1, 2, ..., the rest stars, and the 0 inserted at the rank of ``d``.
+    """Each total order of ``labels`` within ``universe`` (column positions,
+    ``universe`` ascending and without d), with its reading: the order's
+    positions labeled 1, 2, ..., the rest stars, and the 0 inserted at the
+    rank of ``d``.
 
-    Feeds the trace recurrence: universe is EA of the current word, labels
-    the deleted subset I, d the peeled 0-position.
+    The one reading builder.  In a tableau row labeled d, labels are the
+    row's arrow columns and universe the particle positions (EA) minus the
+    square columns whose arrow sits in a lower row; in the trace recurrence,
+    universe is EA of the current word, labels the deleted subset I, d the
+    peeled 0-position.
     """
-    universe = sorted(universe)
-    slots = {c: idx for idx, c in enumerate(universe)}
-    insert_at = sum(1 for c in universe if c < d)
+    blank: list[int | None] = [None] * (len(universe) + 1)
+    blank[bisect_left(universe, d)] = 0
+    slots = {c: bisect_left(universe, c) + (c > d) for c in labels}
     for order in itertools.permutations(labels):
-        values: list[int | None] = [None] * len(universe)
-        for label_minus_one, col in enumerate(order):
-            values[slots[col]] = label_minus_one + 1
-        values.insert(insert_at, 0)
+        values = blank.copy()
+        for label, col in enumerate(order, start=1):
+            values[slots[col]] = label
         yield order, PartialPerm(tuple(values))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .algebra.poly import MultiPoly
-from .algebra.qtx import QtxExpr, qtx_sum
+from .algebra.qtx import QtxExpr
 from .algebra.ratfunc import RatFunc, qt_factorial_ratio, t_factorial_ratio
 from .combinatorics import (
     Word,
@@ -249,7 +249,7 @@ def _check_bijection(instance):
             }
         weights.append(weight)
         images.append(queue)
-    total = qtx_sum(weights)
+    total = sum(weights, QtxExpr.zero())
     queues = enumerate_queues(mu)
     if sorted(q.matching for q in queues) != sorted(q.matching for q in images) or len(queues) != len(images):
         return {"instance": list(instance), "error": "queue enumeration mismatch"}

@@ -7,11 +7,12 @@ depends only on its label, its arrow columns in label order, and the set U
 of square columns whose arrow sits in a lower row, so the state after each
 row is a map U -> accumulated value.  Row i moves U to U | S for each set S
 of unused square columns, times the sum over the orders of S of one
-ordering's value.  At the end |U| is the arrow count a.  P_lambda, a sector
-sum, runs this DP once per word into one shared map a -> body: every word of
-a sector has the same r+l, so each body is multiplied once by its factorial
-ratio [r+l-a]!/[r+l]! and the answer is reduced once.  The partition
-function needs no tableaux: it is the product C(n, r+l) C(n, l).
+ordering's value (``partial_perms`` reads the particle columns not in U).
+At the end |U| is the arrow count a.  P_lambda, a sector sum, runs this DP
+once per word into one shared map a -> body: every word of a sector has the
+same r+l, so each body is multiplied once by its factorial ratio
+[r+l-a]!/[r+l]! and the answer is reduced once.  The partition function
+needs no tableaux: it is the product C(n, r+l) C(n, l).
 
 The values live in a small coefficient ``Ring`` of monomials and
 factorial ratios: ``SYMBOLIC`` (x-monomials over Z[q, t], giving Tab_qtx;
@@ -20,7 +21,8 @@ a body's coefficients become ``RatFunc`` only when a ratio multiplies it),
 at one point, each monomial built from integer powers of the numerators and
 denominators of q0, t0 and the x_i into one ``Fraction``, so one gcd per
 term).  The trace recurrence in ``oracles.recurrence`` uses ``SYMBOLIC`` and
-``point_ring``.
+``point_ring``.  ``wt_qtx`` and ``wt_t``, the weights of one tableau, are
+no DP: they follow the definition, a sum over the tableau's orderings.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from .combinatorics import (
     Word,
     build_diagram,
     disorder,
+    enumerate_orderings,
     enumerate_states,
-    reading_of,
+    partial_perms,
     recoils,
     row_reading,
 )
@@ -110,12 +113,12 @@ def _fixed_exps(diagram: Diagram, used) -> list[int]:
     return exps
 
 
-def _row_factor(diagram: Diagram, d: int, cols, below, term):
+def _row_factor(diagram: Diagram, d: int, cols, universe, term):
     """Sum over the label orders of the arrows in ``cols`` of one row
-    labeled d: q^rec t^dis x_d x_{every arrow but the last labeled}."""
+    labeled d, whose readable columns are ``universe``: q^rec t^dis x_d
+    x_{every arrow but the last labeled}."""
     total = None
-    for perm in itertools.permutations(cols):
-        reading = reading_of(diagram, d, perm, below)
+    for perm, reading in partial_perms(cols, universe, d):
         exps = [0] * diagram.word.n
         exps[d - 1] = 1
         for c in perm[:-1]:
@@ -125,30 +128,27 @@ def _row_factor(diagram: Diagram, d: int, cols, below, term):
     return total
 
 
-def _tableau_sum(diagrams: list[Diagram], ring: Ring, tableau: Tableau | None = None):
+def _tableau_sum(diagrams: list[Diagram], ring: Ring):
     """The sum of weights over every tableau of the diagrams, which share
-    one r + l (over the one ``tableau`` of a one-diagram list when given),
-    in the ring: one row-subset DP per diagram into one map from arrow
-    count to body, then one factorial ratio per arrow count."""
+    one r + l, in the ring: one row-subset DP per diagram into one map from
+    arrow count to body, then one factorial ratio per arrow count."""
     by_arr: dict[int, object] = {}
     for diagram in diagrams:
+        ea = diagram.word.ea()
         states = {frozenset(): ring.term(0, 0, ())}
         for i in range(1, diagram.k + 1):
             d = diagram.row_label(i)
             after: dict[frozenset, object] = {}
             for used, value in states.items():
-                if tableau is not None:
-                    choices = [tableau.row_arrow_cols(i)]
-                else:
-                    free = [c for c in diagram.square_cols if c not in used]
-                    choices = itertools.chain.from_iterable(
-                        itertools.combinations(free, size) for size in range(len(free) + 1)
-                    )
-                for cols in choices:
-                    # a row without arrows reads no labels: its factor is 1
-                    v = value * _row_factor(diagram, d, cols, used, ring.term) if cols else value
-                    key = used.union(cols)
-                    after[key] = after[key] + v if key in after else v
+                # the row reads every particle column but those with an arrow below
+                universe = [c for c in ea if c not in used]
+                free = [c for c in diagram.square_cols if c not in used]
+                for size in range(len(free) + 1):
+                    for cols in itertools.combinations(free, size):
+                        # a row without arrows reads no labels: its factor is 1
+                        v = value * _row_factor(diagram, d, cols, universe, ring.term) if cols else value
+                        key = used.union(cols)
+                        after[key] = after[key] + v if key in after else v
             states = after
         for used, value in states.items():
             v = value * ring.term(0, 0, _fixed_exps(diagram, used))
@@ -186,13 +186,15 @@ def wt_qtx_ordered(tableau: Tableau, ordering: ArrowOrdering) -> QtxExpr:
 
 
 def wt_qtx(tableau: Tableau) -> QtxExpr:
-    """The qtx-weight: the factorial ratio times the ordering sum."""
-    return _tableau_sum([tableau.diagram], SYMBOLIC, tableau)
+    """The qtx-weight: [r+l-arr]!/[r+l]! times the sum over the orderings."""
+    mu = tableau.diagram.word
+    total = sum((wt_qtx_ordered(tableau, o) for o in enumerate_orderings(tableau)), QtxExpr.zero())
+    return total * qt_factorial_ratio(mu.r + mu.l - tableau.arr, mu.r + mu.l)
 
 
 def wt_t(tableau: Tableau) -> RatFunc:
-    """The t-weight: q and x dropped."""
-    return _tableau_sum([tableau.diagram], T_ONLY, tableau)
+    """The t-weight: wt_qtx at q = 1 and every x_i = 1."""
+    return wt_qtx(tableau).specialize(q_to=1, x_to_one=True).as_ratfunc()
 
 
 def tab_qtx(mu: Word) -> QtxExpr:

@@ -13,10 +13,10 @@ from math import comb, factorial
 
 from crtasep.algebra import (
     MultiPoly,
+    QtxExpr,
     RatFunc,
     parse,
     qt_factorial_ratio,
-    qtx_sum,
     t_bracket,
 )
 from crtasep.combinatorics import (
@@ -228,7 +228,7 @@ def test_ac12_queue_bijection():
                 images.add(queue)
                 pairs_checked += 1
         ok = ok and images == set(enumerate_queues(mu))
-        ok = ok and qtx_sum(weights) == tab_qtx(mu)
+        ok = ok and sum(weights, QtxExpr.zero()) == tab_qtx(mu)
         if not ok:
             break
     report("AC-12", ok, f"round trip + weights on {pairs_checked} pairs", started)

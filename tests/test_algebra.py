@@ -1,6 +1,7 @@
 """Exact arithmetic: polynomials, the rational-function field, brackets,
 canonical text and JSON round-trips."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,6 @@ from crtasep.algebra import (
     qt_bracket,
     qt_factorial,
     qt_factorial_ratio,
-    qtx_sum,
     t_bracket,
     t_factorial,
     to_json,
@@ -416,20 +416,33 @@ def test_json_round_trip(e):
     assert from_json(to_json(e, nvars=6)) == e
 
 
-def test_qtx_sum_matches_sequential():
-    rng = random.Random(3)
-    exprs = []
-    for _ in range(12):
-        exprs.append(
-            QtxExpr.x_monomial(
-                (rng.randint(0, 2), rng.randint(0, 2)),
-                qt_factorial_ratio(rng.randint(0, 2), rng.randint(2, 4)),
-            )
-        )
-    seq = QtxExpr.zero()
-    for e in exprs:
-        seq = seq + e
-    assert qtx_sum(exprs) == seq
+def test_keys_equal_once_trimmed_add_up():
+    one = RatFunc.one()
+    assert QtxExpr({(1,): one, (1, 0): one}) == parse("2*x1")
+    assert QtxExpr({(0, 1): one, (0, 1, 0, 0): -one}).is_zero()
+
+
+def _json_doc(*terms):
+    return json.dumps({"nvars": 1, "terms": [{"x": x, "num": num, "den": [["1", 0, 0]]} for x, num in terms]})
+
+
+def test_from_json_rejects_a_repeated_monomial():
+    assert from_json(_json_doc(([1], [["1", 0, 0]]), ([2], [["1", 0, 0]]))) == parse("x1+x1^2")
+    with pytest.raises(ValueError, match="repeated"):
+        from_json(_json_doc(([1], [["1", 0, 0]]), ([1], [["2", 0, 0]])))
+    with pytest.raises(ValueError, match="repeated"):
+        from_json(_json_doc(([1], [["1", 0, 0]]), ([1, 0], [["2", 0, 0]])))
+    with pytest.raises(ValueError, match="repeated"):
+        from_json(_json_doc(([1], [["1", 0, 0], ["2", 0, 0]])))
+
+
+def test_from_json_rejects_a_negative_exponent():
+    with pytest.raises(ValueError, match="negative"):
+        from_json(_json_doc(([-1], [["1", 0, 0]])))
+    with pytest.raises(ValueError, match="negative"):
+        from_json(_json_doc(([1], [["1", -1, 0]])))
+    with pytest.raises(ValueError, match="negative"):
+        from_json(_json_doc(([1], [["1", 0, -2]])))
 
 
 def test_swap_x():

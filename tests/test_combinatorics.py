@@ -1,5 +1,6 @@
 """States, diagrams, tableaux, row readings, and the statistics."""
 
+import itertools
 from math import comb, factorial
 
 import pytest
@@ -19,6 +20,7 @@ from crtasep.combinatorics import (
     enumerate_states,
     enumerate_tableaux,
     is_free,
+    partial_perms,
     particle_hole,
     recoils,
     row_reading,
@@ -119,6 +121,48 @@ def test_row_readings_match_worked_example():
     assert str(row_reading(tableau, 1, ordering)) == "* * * 1 * 0 * *"
     assert str(row_reading(tableau, 2, ordering)) == "3 * 1 0 * * 2"
     assert str(row_reading(tableau, 3, ordering)) == "0 * * *"
+
+
+def reference_reading(tableau, i, ordering):
+    """The reading rule written out: sort the (column, value) pairs of the
+    row label (0), the rhombic columns (star), the labeled arrows and the
+    free squares (star); squares with an arrow below are omitted."""
+    diagram = tableau.diagram
+    order = ordering.row_order(i)
+    below = {c for c, j in tableau.arrows if j < i}
+    entries = [(diagram.row_label(i), 0)] + [(c, None) for c in diagram.rhombic_cols]
+    for c in diagram.square_cols:
+        if c in order:
+            entries.append((c, order.index(c) + 1))
+        elif c not in below:
+            entries.append((c, None))
+    return PartialPerm(tuple(v for _, v in sorted(entries)))
+
+
+def test_row_reading_follows_the_rule_on_every_small_word():
+    rows = 0
+    for n in range(1, 6):
+        for letters in itertools.product((0, 1, 2), repeat=n):
+            mu = Word(letters)
+            for tableau in enumerate_tableaux(mu):
+                for ordering in enumerate_orderings(tableau):
+                    for i in range(1, mu.k + 1):
+                        assert row_reading(tableau, i, ordering) == reference_reading(tableau, i, ordering)
+                        rows += 1
+    assert rows == 4143
+
+
+def test_partial_perms_yields_every_order_once_input_first():
+    universe = (2, 3, 4, 5, 7, 9, 10)
+    for labels in ((), (5,), (4, 10, 2), (9, 2, 5, 4)):
+        out = list(partial_perms(labels, universe, 6))
+        orders = [order for order, _ in out]
+        assert len(orders) == len(set(orders)) == factorial(len(labels))
+        assert orders[0] == labels
+        for order, reading in out:
+            want = [order.index(c) + 1 if c in order else None for c in universe]
+            want.insert(4, 0)  # 6 ranks after 2, 3, 4, 5
+            assert reading.values == tuple(want)
 
 
 def test_worked_disorder_values():

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from crtasep.algebra import parse, qt_factorial_ratio, qtx_sum
+from crtasep.algebra import QtxExpr, parse, qt_factorial_ratio
 from crtasep.combinatorics import (
     Tableau,
     Word,
@@ -134,7 +134,7 @@ def test_bijection_exhaustive_small():
             assert queue_weight(queue) == wt_qtx_ordered(tableau, ordering) * scalar
             weights.append(queue_weight(queue))
         assert seen == set(queues)
-        assert qtx_sum(weights) == tab_qtx(mu)
+        assert sum(weights, QtxExpr.zero()) == tab_qtx(mu)
 
 
 def test_queue_round_trip_from_queue_side():
