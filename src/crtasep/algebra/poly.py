@@ -204,11 +204,12 @@ class MultiPoly(Arithmetic):
     # -- substitution and evaluation -----------------------------------
 
     def evaluate(self, q0, t0) -> Fraction:
-        q0, t0 = Fraction(q0), Fraction(t0)
-        total = Fraction(0)
-        for (eq, et), c in self.terms.items():
-            total += c * q0**eq * t0**et
-        return total
+        """The value at q0 = a/b, t0 = c/e as one ``Fraction``: the integer sum
+        of k a^i b^(Dq-i) c^j e^(Dt-j) over terms k q^i t^j, over b^Dq e^Dt."""
+        (a, b), (c, e) = Fraction(q0).as_integer_ratio(), Fraction(t0).as_integer_ratio()
+        dq, dt = self.degree_q(), self.degree_t()
+        num = sum(k * a**i * b ** (dq - i) * c**j * e ** (dt - j) for (i, j), k in self.terms.items())
+        return Fraction(num, b**dq * e**dt)
 
     def subs_q(self, q0, d: int) -> "MultiPoly":
         """b^d * P(a/b, t) for q0 = a/b in lowest terms; d must be at

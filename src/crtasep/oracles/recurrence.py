@@ -12,7 +12,9 @@ point divides by 1 - q t^r once.
 
 The recurrence is written once, over a coefficient ``Ring`` from
 ``weights``: ``SYMBOLIC`` gives the trace in Q(q,t)[x], ``point_ring`` its
-value at one exact point.  Each top-level call has its own memo, freed on
+value at one exact point.  Each I gives one term per last deleted position,
+its orders' q^rec t^dis counts read from ``combinatorics.reading_stats``,
+the tableau kernel's table.  Each top-level call has its own memo, freed on
 return.  The CLI makes one call per process; only ``verify recurrence``
 sweeps many words, where one shared memo gained little (n = 6: 2.89 s vs
 2.93 s; n = 7: 18.1 s at 80 MB peak vs 21.2 s at 27 MB).
@@ -24,7 +26,7 @@ import itertools
 from fractions import Fraction
 
 from ..algebra import MultiPoly, QtxExpr, RatFunc
-from ..combinatorics import Word, disorder, partial_perms, recoils
+from ..combinatorics import UNIT_STATS, Word, reading_stats
 from ..weights import SYMBOLIC, Ring, omega, point_ring
 
 Labeled = tuple[tuple[int, int], ...]  # ((label, letter), ...)
@@ -38,12 +40,9 @@ def _label(mu: Word) -> Labeled:
 
 
 def _pick_d(labeled: Labeled, strategy: str) -> int:
-    zeros = [lab for lab, a in labeled if a == 0]
-    if strategy == "max":
-        return max(zeros)
-    if strategy == "min":
-        return min(zeros)
-    raise ValueError(f"unknown d strategy {strategy!r}")
+    if strategy not in ("max", "min"):
+        raise ValueError(f"unknown d strategy {strategy!r}")
+    return (max if strategy == "max" else min)(lab for lab, a in labeled if a == 0)
 
 
 def trace_by_recurrence(mu: Word, d_strategy: str = "max") -> QtxExpr:
@@ -74,7 +73,7 @@ def _trace(labeled: Labeled, strategy: str, ring: Ring, memo: dict):
         exps = [0] * n_top
         for lab, a in labeled:
             exps[lab - 1] = a  # x once per 1, squared per 2
-        memo[labeled] = ring.term(0, 0, exps)
+        memo[labeled] = ring.term(UNIT_STATS, exps)
         return memo[labeled]
 
     d = _pick_d(labeled, strategy)
@@ -88,13 +87,13 @@ def _trace(labeled: Labeled, strategy: str, ring: Ring, memo: dict):
             sub = tuple(entry for entry in labeled if entry[0] not in removed)
             subtrace = _trace(sub, strategy, ring, memo)
             acc = 0
-            for order, reading in partial_perms(subset, ea, d):
+            for last, stats in reading_stats(subset, ea, d):
                 exps = [0] * n_top
                 for c in subset:
                     exps[c - 1] += 2
                 exps[d - 1] += 1
-                exps[(order[-1] if order else d) - 1] -= 1  # the last deleted position
-                acc = acc + ring.term(recoils(reading), disorder(reading), exps)
+                exps[(d if last is None else last) - 1] -= 1  # the last deleted position
+                acc = acc + ring.term(stats, exps)
             total = total + subtrace * acc * ratio
     memo[labeled] = total
     return total

@@ -6,23 +6,24 @@ Every tableau sum is one bottom-to-top DP over rows.  A row's reading
 depends only on its label, its arrow columns in label order, and the set U
 of square columns whose arrow sits in a lower row, so the state after each
 row is a map U -> accumulated value.  Row i moves U to U | S for each set S
-of unused square columns, times the sum over the orders of S of one
-ordering's value (``partial_perms`` reads the particle columns not in U).
-At the end |U| is the arrow count a.  P_lambda, a sector sum, runs this DP
-once per word into one shared map a -> body: every word of a sector has the
+of unused square columns, times one term per last label of S, read from
+``combinatorics.reading_stats`` (the particle columns not in U).  At the
+end |U| is the arrow count a.  P_lambda, a sector sum, runs this DP once
+per word into one shared map a -> body: every word of a sector has the
 same r+l, so each body is multiplied once by its factorial ratio
 [r+l-a]!/[r+l]! and the answer is reduced once.  The partition function
 needs no tableaux: it is the product C(n, r+l) C(n, l).
 
-The values live in a small coefficient ``Ring`` of monomials and
-factorial ratios: ``SYMBOLIC`` (x-monomials over Z[q, t], giving Tab_qtx;
-a body's coefficients become ``RatFunc`` only when a ratio multiplies it),
-``T_ONLY`` (t-monomials, giving Tab_t) and ``point_ring`` (exact rationals
-at one point, each monomial built from integer powers of the numerators and
-denominators of q0, t0 and the x_i into one ``Fraction``, so one gcd per
-term).  The trace recurrence in ``oracles.recurrence`` uses ``SYMBOLIC`` and
-``point_ring``.  ``wt_qtx`` and ``wt_t``, the weights of one tableau, are
-no DP: they follow the definition, a sum over the tableau's orderings.
+The values live in a small coefficient ``Ring`` whose terms take a Z[q, t]
+coefficient, as counts ((rec, dis, count), ...), and an x-monomial:
+``SYMBOLIC`` (x-monomials over Z[q, t], giving Tab_qtx; a body's
+coefficients become ``RatFunc`` only when a ratio multiplies it),
+``T_ONLY`` (t-polynomials, giving Tab_t) and ``point_ring`` (exact
+rationals at one point, each distinct coefficient valued once by
+``MultiPoly.evaluate``).  The trace recurrence in ``oracles.recurrence``
+uses ``SYMBOLIC`` and ``point_ring``.  ``wt_qtx`` and ``wt_t``, the weights
+of one tableau, are no DP: they follow the definition, a sum over the
+tableau's orderings.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .algebra.poly import MultiPoly
 from .algebra.qtx import QtxExpr
 from .algebra.ratfunc import RatFunc, qt_factorial_ratio, t_factorial_ratio
 from .combinatorics import (
+    UNIT_STATS,
     ArrowOrdering,
     Diagram,
     Tableau,
@@ -45,7 +47,7 @@ from .combinatorics import (
     disorder,
     enumerate_orderings,
     enumerate_states,
-    partial_perms,
+    reading_stats,
     recoils,
     row_reading,
 )
@@ -55,20 +57,24 @@ class Ring(NamedTuple):
     are added and multiplied by each other; ``ratio`` values multiply them
     into the ring of the answer."""
 
-    term: Callable  # (rec, dis, x_exponents) -> q^rec t^dis x^x_exponents
+    term: Callable  # (((rec, dis, count), ...), x_exponents) -> sum count q^rec t^dis x^x_exponents
     ratio: Callable  # (a, b) -> [a]!/[b]!
 
 
-def _qtx_ratio(a: int, b: int) -> QtxExpr:
-    return QtxExpr.from_ratfunc(qt_factorial_ratio(a, b))
+def _poly(stats, with_q: bool = True) -> MultiPoly:
+    """The polynomial of G's counts ((rec, dis, count), ...), at q = 1 unless ``with_q``."""
+    terms: dict = {}
+    for rec, dis, count in stats:
+        key = (rec if with_q else 0, dis)
+        terms[key] = terms.get(key, 0) + count
+    return MultiPoly(terms)
 
 
-def _qtx_term(rec: int, dis: int, exps) -> QtxExpr:
-    return QtxExpr.x_monomial(exps, MultiPoly.monomial(rec, dis))
-
-
-SYMBOLIC = Ring(_qtx_term, _qtx_ratio)
-T_ONLY = Ring(lambda rec, dis, exps: MultiPoly.monomial(0, dis), t_factorial_ratio)
+SYMBOLIC = Ring(
+    lambda stats, exps: QtxExpr.x_monomial(exps, _poly(stats)),
+    lambda a, b: QtxExpr.from_ratfunc(qt_factorial_ratio(a, b)),
+)
+T_ONLY = Ring(lambda stats, exps: _poly(stats, with_q=False), t_factorial_ratio)
 
 
 def point_ring(q0, t0, xs, n: int) -> Ring:
@@ -79,13 +85,15 @@ def point_ring(q0, t0, xs, n: int) -> Ring:
     if len(xs) != n:
         raise ValueError(f"need {n} x-values")
     ratios: dict[tuple[int, int], Fraction] = {}
-    (qn, qd), (tn, td) = q0.as_integer_ratio(), t0.as_integer_ratio()
+    values: dict[tuple, tuple[int, int]] = {}
     xs_nd = [x.as_integer_ratio() for x in xs]
 
-    def term(rec: int, dis: int, exps) -> Fraction:
+    def term(stats, exps) -> Fraction:
+        if stats not in values:
+            values[stats] = _poly(stats).evaluate(q0, t0).as_integer_ratio()
+        num, den = values[stats]
         # exponents are never negative (x_last cancels x_d or an x_i^2), so
         # the powers stay ints: an int to a negative power is a float
-        num, den = qn**rec * tn**dis, qd**rec * td**dis
         for (xn, xd), e in zip(xs_nd, exps):
             if e:
                 num *= xn**e
@@ -116,14 +124,15 @@ def _fixed_exps(diagram: Diagram, used) -> list[int]:
 def _row_factor(diagram: Diagram, d: int, cols, universe, term):
     """Sum over the label orders of the arrows in ``cols`` of one row
     labeled d, whose readable columns are ``universe``: q^rec t^dis x_d
-    x_{every arrow but the last labeled}."""
+    x_{every arrow but the last labeled}, one term per last label."""
     total = None
-    for perm, reading in partial_perms(cols, universe, d):
+    for last, stats in reading_stats(cols, universe, d):
         exps = [0] * diagram.word.n
         exps[d - 1] = 1
-        for c in perm[:-1]:
+        for c in cols:
             exps[c - 1] += 1
-        v = term(recoils(reading), disorder(reading), exps)
+        exps[last - 1] -= 1
+        v = term(stats, exps)
         total = v if total is None else total + v
     return total
 
@@ -135,7 +144,7 @@ def _tableau_sum(diagrams: list[Diagram], ring: Ring):
     by_arr: dict[int, object] = {}
     for diagram in diagrams:
         ea = diagram.word.ea()
-        states = {frozenset(): ring.term(0, 0, ())}
+        states = {frozenset(): ring.term(UNIT_STATS, ())}
         for i in range(1, diagram.k + 1):
             d = diagram.row_label(i)
             after: dict[frozenset, object] = {}
@@ -151,7 +160,7 @@ def _tableau_sum(diagrams: list[Diagram], ring: Ring):
                         after[key] = after[key] + v if key in after else v
             states = after
         for used, value in states.items():
-            v = value * ring.term(0, 0, _fixed_exps(diagram, used))
+            v = value * ring.term(UNIT_STATS, _fixed_exps(diagram, used))
             a = len(used)
             by_arr[a] = by_arr[a] + v if a in by_arr else v
     rl = diagrams[0].word.r + diagrams[0].word.l
@@ -176,12 +185,8 @@ def wt_x(tableau: Tableau, ordering: ArrowOrdering) -> QtxExpr:
 
 def wt_qtx_ordered(tableau: Tableau, ordering: ArrowOrdering) -> QtxExpr:
     """t^disorder q^cycling times the x-weight, for one ordering."""
-    dis = 0
-    rec = 0
-    for i in range(1, tableau.diagram.k + 1):
-        reading = row_reading(tableau, i, ordering)
-        dis += disorder(reading)
-        rec += recoils(reading)
+    readings = [row_reading(tableau, i, ordering) for i in range(1, tableau.diagram.k + 1)]
+    rec, dis = sum(map(recoils, readings)), sum(map(disorder, readings))
     return wt_x(tableau, ordering) * RatFunc(MultiPoly.monomial(rec, dis))
 
 

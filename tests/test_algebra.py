@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crtasep.algebra import (
@@ -323,6 +323,27 @@ def test_evaluate_expr():
     assert b.evaluate(1, Fraction(1, 2)) == 1
     with pytest.raises(PoleError):
         b.evaluate(2, 1)
+
+
+points = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=5)
+)
+int_polys = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(-20, 20), max_size=6
+).map(MultiPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys, points, points)
+@example(MultiPoly(), Fraction(0), Fraction(0))
+@example(MultiPoly({(2, 1): -3, (0, 3): 4, (0, 0): 5}), Fraction(0), Fraction(-7, 2))
+@example(MultiPoly({(3, 0): -2, (1, 2): 7}), Fraction(5, 2), Fraction(0))
+def test_poly_evaluate_is_the_termwise_sum(p, q0, t0):
+    # one integer sum over one denominator equals the sum of Fraction powers,
+    # for the zero polynomial, negative coefficients, zero, negative and large points
+    want = sum((c * q0**eq * t0**et for (eq, et), c in p.terms.items()), Fraction(0))
+    assert p.evaluate(q0, t0) == want
+    assert p.evaluate(q0, t0).denominator == want.denominator
 
 
 def test_evaluate_multiplicative():

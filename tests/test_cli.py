@@ -62,6 +62,8 @@ def test_prob_symbolic_and_pole(capsys):
     # the law of 012 keeps a (1+t) factor in its reduced denominator
     code, _, err = run(capsys, "prob", "012", "--at-t", "-1")
     assert code == 3 and "error" in err
+    code, _, err = run(capsys, "prob", "210", "--at-t", "-1")
+    assert code == 3 and "denominator vanishes at q=1, t=-1" in err
 
 
 def test_partition_function(capsys):

@@ -22,6 +22,7 @@ from crtasep.combinatorics import (
     is_free,
     partial_perms,
     particle_hole,
+    reading_stats,
     recoils,
     row_reading,
 )
@@ -121,6 +122,16 @@ def test_row_readings_match_worked_example():
     assert str(row_reading(tableau, 1, ordering)) == "* * * 1 * 0 * *"
     assert str(row_reading(tableau, 2, ordering)) == "3 * 1 0 * * 2"
     assert str(row_reading(tableau, 3, ordering)) == "0 * * *"
+    # the table G holds the same rows' (rec, dis) counts by the column
+    # labeled last; row 2's disorders are the worked values of its 6 orders
+    assert dict(reading_stats((5,), EXAMPLE_WORD.ea(), 8)) == {5: ((1, 5, 1),)}
+    universe = [c for c in EXAMPLE_WORD.ea() if c != 5]  # column 5's arrow is in row 1
+    assert dict(reading_stats((4, 10, 2), universe, 6)) == {
+        2: ((2, 6, 1), (2, 7, 1)),
+        4: ((1, 3, 1), (2, 8, 1)),
+        10: ((1, 6, 1), (2, 11, 1)),
+    }
+    assert dict(reading_stats((), EXAMPLE_WORD.ea(), 1)) == {None: ((0, 0, 1),)}
 
 
 def reference_reading(tableau, i, ordering):
@@ -150,6 +161,28 @@ def test_row_reading_follows_the_rule_on_every_small_word():
                         assert row_reading(tableau, i, ordering) == reference_reading(tableau, i, ordering)
                         rows += 1
     assert rows == 4143
+
+
+def test_reading_stats_match_the_plain_loop():
+    # every layout with at most 5 slots: universe size m <= 4, every rank
+    # of d among the m + 1 gaps, every subset of the universe as labels
+    layouts = 0
+    for m in range(5):
+        universe = [2 * j for j in range(1, m + 1)]
+        for d in range(1, 2 * m + 2, 2):
+            for size in range(m + 1):
+                for labels in itertools.combinations(universe, size):
+                    want: dict = {}
+                    for order, reading in partial_perms(labels, universe, d):
+                        group = want.setdefault(order[-1] if order else None, {})
+                        stat = (recoils(reading), disorder(reading))
+                        group[stat] = group.get(stat, 0) + 1
+                    for labels_in in (labels, labels[::-1]):  # pairs follow the labels, not their order
+                        pairs = reading_stats(labels_in, universe, d)
+                        got = {c: {(rec, dis): n for rec, dis, n in stats} for c, stats in pairs}
+                        assert got == want, (labels, universe, d)
+                    layouts += 1
+    assert layouts == sum((m + 1) * 2**m for m in range(5))
 
 
 def test_partial_perms_yields_every_order_once_input_first():

@@ -23,6 +23,7 @@ from crtasep.algebra import (
     t_bracket,
     t_factorial_ratio,
 )
+from crtasep import combinatorics
 from crtasep.combinatorics import (
     ArrowOrdering,
     Tableau,
@@ -33,12 +34,13 @@ from crtasep.combinatorics import (
     enumerate_tableaux,
 )
 from crtasep.errors import NotAPartition
-from crtasep.oracles.recurrence import f_mu, trace_by_recurrence
+from crtasep.oracles.recurrence import f_mu, trace_by_recurrence, trace_rec_eval
 from crtasep.weights import (
     macdonald_E,
     macdonald_P,
     omega,
     partition_function,
+    point_ring,
     stationary_prob,
     tab_qtx,
     tab_qtx_eval,
@@ -170,6 +172,35 @@ def test_numeric_twins_match_symbolic():
     for wrong in (xs[:5], xs + (Fraction(1),)):
         with pytest.raises(ValueError, match="need 6 x-values"):
             tab_qtx_eval(mu, q0, t0, wrong)
+
+
+def test_reading_stats_table_stays_within_its_bound():
+    # words of length n have at most sum_{m<n} (m+1) 2^m layouts; the cap
+    # is that bound at verify's n = 10
+    assert combinatorics.READING_STATS_CAP == sum((m + 1) * 2**m for m in range(10))
+    combinatorics._READING_STATS.clear()
+    q0, t0, xs = Fraction(1, 3), Fraction(2, 5), [Fraction(j, 4) for j in range(3, 8)]
+    for n in range(1, 6):
+        for letters in itertools.product((0, 1, 2), repeat=n):
+            mu = Word(letters)
+            tab_qtx_eval(mu, q0, t0, xs[:n])
+            trace_rec_eval(mu, q0, t0, xs[:n])
+    assert 0 < len(combinatorics._READING_STATS) <= sum((m + 1) * 2**m for m in range(5))
+
+
+stats_tuples = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 9)), st.integers(1, 30), min_size=1, max_size=6
+).map(lambda d: tuple((rec, dis, n) for (rec, dis), n in sorted(d.items())))
+
+
+@settings(max_examples=50, deadline=None)
+@given(stats_tuples, st.fractions(min_value=-2, max_value=2, max_denominator=7), st.fractions(max_denominator=7))
+def test_point_ring_caches_the_value_of_each_coefficient(stats, q0, t0):
+    term = point_ring(q0, t0, (Fraction(3, 2), Fraction(-2)), 2).term
+    want = MultiPoly({(rec, dis): n for rec, dis, n in stats}).evaluate(q0, t0)
+    assert term(stats, (0, 0)) == want
+    assert term(stats, (2, 1)) == want * Fraction(9, 4) * -2  # from the cache
+    assert term(stats, (0, 0)) == want
 
 
 def test_partition_function_values():
