@@ -211,11 +211,11 @@ class MultiPoly(Arithmetic):
         num = sum(k * a**i * b ** (dq - i) * c**j * e ** (dt - j) for (i, j), k in self.terms.items())
         return Fraction(num, b**dq * e**dt)
 
-    def subs_q(self, q0, d: int) -> "MultiPoly":
-        """b^d * P(a/b, t) for q0 = a/b in lowest terms; d must be at
-        least the q-degree, so the result has integer coefficients."""
+    def subs_q(self, q0, d: int | None = None) -> "MultiPoly":
+        """b^d * P(a/b, t) for q0 = a/b in lowest terms; d, by default the
+        q-degree, must be at least it, so the result has integer coefficients."""
         q0 = Fraction(q0)
-        a, b = q0.numerator, q0.denominator
+        a, b, d = q0.numerator, q0.denominator, self.degree_q() if d is None else d
         terms: dict[Key, int] = {}
         for (eq, et), c in self.terms.items():
             terms[0, et] = terms.get((0, et), 0) + c * a**eq * b ** (d - eq)

@@ -42,7 +42,7 @@ def _mul_xs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 class QtxExpr(Arithmetic):
     """Trimmed x-exponent tuples mapped to nonzero coefficients, ``RatFunc``
     in every public result.  The tableau and trace kernels hold integral
-    coefficients as ``MultiPoly`` (Z[q, t]) until a ``RatFunc`` multiplies them."""
+    coefficients as ``MultiPoly`` (Z[q, t]) until their one final division."""
 
     __slots__ = ("coeffs",)
 

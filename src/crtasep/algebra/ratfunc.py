@@ -239,41 +239,38 @@ def t_bracket(i: int) -> MultiPoly:
 @lru_cache(maxsize=None)
 def t_factorial(i: int) -> MultiPoly:
     """[i]_t! = [1][2]...[i]; empty product 1."""
-    if i == 0:
-        return MultiPoly.one()
-    return t_factorial(i - 1) * t_bracket(i)
+    return prod(map(t_bracket, range(1, i + 1)), start=MultiPoly.one())
 
 
-@lru_cache(maxsize=None)
 def qt_bracket(i: int) -> RatFunc:
     """[i]_qt = (1 - q t^i)/(1 - t) for i >= 1; the convention [0] = 1."""
     if i < 0:
         raise ValueError("bracket index must be nonnegative")
-    if i == 0:
-        return _RF_ONE
-    num = MultiPoly.one() - MultiPoly.q() * MultiPoly.t(i)
-    den = MultiPoly.one() - MultiPoly.t()
-    return RatFunc(num, den)
+    return RatFunc._reduced(qt_factor(0, i - 1, i), qt_factor(1, 0, 0)) if i else _RF_ONE
 
 
-@lru_cache(maxsize=None)
 def qt_factorial(i: int) -> RatFunc:
     """[i]_qt! = [i][i-1]...[1]; empty product 1."""
-    if i == 0:
-        return _RF_ONE
-    return qt_factorial(i - 1) * qt_bracket(i)
+    return RatFunc._reduced(qt_factor(0, 0, i), qt_factor(i, 0, 0))
 
 
-@lru_cache(maxsize=None)
+# Keys are ints of at most n, the word length: a few hundred for the verify
+# bound n <= 10; the cap stops longer CLI words from growing it for good.
+@lru_cache(maxsize=1024)
+def qt_factor(a: int, lo: int, hi: int) -> MultiPoly:
+    """(1 - t)^a (1 - q t^(lo+1)) ... (1 - q t^hi); the empty product 1."""
+    one = MultiPoly.one()
+    brackets = (one - MultiPoly.q() * MultiPoly.t(j) for j in range(lo + 1, hi + 1))
+    return prod(brackets, start=(one - MultiPoly.t()) ** a)
+
+
 def qt_factorial_ratio(a: int, b: int) -> RatFunc:
     """[a]_qt! / [b]_qt! for a <= b, i.e. (1 - t)^(b-a) / ((1 - q t^(a+1))
     ... (1 - q t^b)).  No gcd: 1 - t divides no 1 - q t^j, as at t = 1 that
     factor is 1 - q."""
     if a > b:
         raise ValueError("ratio expects a <= b")
-    one = MultiPoly.one()
-    den = prod((one - MultiPoly.q() * MultiPoly.t(j) for j in range(a + 1, b + 1)), start=one)
-    return RatFunc._reduced((one - MultiPoly.t()) ** (b - a), den)
+    return RatFunc._reduced(qt_factor(b - a, 0, 0), qt_factor(0, a, b))
 
 
 @lru_cache(maxsize=None)

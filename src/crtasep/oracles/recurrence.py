@@ -3,21 +3,22 @@ matrix products, with the closed form on words without holes as base case.
 
 Peeling the 0 at position d of a labeled word rewrites the trace as a sum
 over subsets I of the heavy positions and total orders sigma of I: the
-factorial ratio [r+l-|I|]!/[r+l]! times x_I^2 x_d / x_{last deleted} times
+factorial ratio [rl-|I|]!/[rl]! times x_I^2 x_d / x_{last deleted} times
 t^dis q^rec of the order (0 inserted at the rank of d), times the trace of
-the word with I and d removed, labels kept.  A word without holes has trace
-x^mu / (1 - q t^r).  Peeling never removes a 1, so r is constant along the
-recursion: it computes (1 - q t^r) tr, with base case x^mu, and each entry
-point divides by 1 - q t^r once.
+the word with I and d removed, labels kept; rl counts the nonzero letters.
+A word without holes has trace x^mu / (1 - q t^r).  Peeling never removes a
+1, so r is constant and the ratios telescope: the recursion computes the
+integral N(w) = (1 - q t^r) tr(w) prod_{r<j<=rl(w)} (1 - q t^j), the sum of
+(1 - t)^|I| N(w minus I and d) acc(I, sigma), or x^mu prod_{r<j<=r+l}
+(1 - q t^j) without holes; each entry divides once by prod_{r<=j<=r+l}.
 
 The recurrence is written once, over a coefficient ``Ring`` from
 ``weights``: ``SYMBOLIC`` gives the trace in Q(q,t)[x], ``point_ring`` its
 value at one exact point.  Each I gives one term per last deleted position,
 its orders' q^rec t^dis counts read from ``combinatorics.reading_stats``,
 the tableau kernel's table.  Each top-level call has its own memo, freed on
-return.  The CLI makes one call per process; only ``verify recurrence``
-sweeps many words, where one shared memo gained little (n = 6: 2.89 s vs
-2.93 s; n = 7: 18.1 s at 80 MB peak vs 21.2 s at 27 MB).
+return: one memo shared over a ``verify recurrence`` sweep gained little
+time (n = 7: 18.1 s vs 21.2 s) for three times the peak (80 MB vs 27 MB).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from ..algebra import MultiPoly, QtxExpr, RatFunc
+from ..algebra import QtxExpr
 from ..combinatorics import UNIT_STATS, Word, reading_stats
 from ..weights import SYMBOLIC, Ring, omega, point_ring
 
@@ -35,14 +36,12 @@ Labeled = tuple[tuple[int, int], ...]  # ((label, letter), ...)
 _SYMBOLIC_CACHE: dict = {}
 
 
-def _label(mu: Word) -> Labeled:
-    return tuple(enumerate(mu.letters, start=1))
-
-
-def _pick_d(labeled: Labeled, strategy: str) -> int:
-    if strategy not in ("max", "min"):
-        raise ValueError(f"unknown d strategy {strategy!r}")
-    return (max if strategy == "max" else min)(lab for lab, a in labeled if a == 0)
+def _answer(mu: Word, d_strategy: str, ring: Ring):
+    """tr(mu) in the ring: N(mu) over prod_{r<=j<=r+l} (1 - q t^j)."""
+    if d_strategy not in ("max", "min"):
+        raise ValueError(f"unknown d strategy {d_strategy!r}")
+    labeled = tuple(enumerate(mu.letters, start=1))
+    return ring.divide(_trace(labeled, d_strategy, ring, {}), mu.r - 1, mu.r + mu.l)
 
 
 def trace_by_recurrence(mu: Word, d_strategy: str = "max") -> QtxExpr:
@@ -52,18 +51,16 @@ def trace_by_recurrence(mu: Word, d_strategy: str = "max") -> QtxExpr:
     hole may be peeled (``d_strategy`` picks which), and the answer is
     independent of the choice.
     """
-    scalar = RatFunc(MultiPoly.one(), MultiPoly.one() - MultiPoly.q() * MultiPoly.t(mu.r))
-    return QtxExpr.from_ratfunc(scalar) * _trace(_label(mu), d_strategy, SYMBOLIC, {})
+    return _answer(mu, d_strategy, SYMBOLIC)
 
 
 def trace_rec_eval(mu: Word, q0, t0, xs, d_strategy: str = "max") -> Fraction:
     """The same recurrence evaluated at exact rationals."""
-    ring = point_ring(q0, t0, xs, mu.n)
-    return _trace(_label(mu), d_strategy, ring, {}) / (1 - Fraction(q0) * Fraction(t0) ** mu.r)
+    return _answer(mu, d_strategy, point_ring(q0, t0, xs, mu.n))
 
 
 def _trace(labeled: Labeled, strategy: str, ring: Ring, memo: dict):
-    """(1 - q t^r) tr of a labeled word, r its number of 1s."""
+    """N(w) of a labeled word w, r its number of 1s."""
     if labeled in memo:
         return memo[labeled]
 
@@ -73,19 +70,16 @@ def _trace(labeled: Labeled, strategy: str, ring: Ring, memo: dict):
         exps = [0] * n_top
         for lab, a in labeled:
             exps[lab - 1] = a  # x once per 1, squared per 2
-        memo[labeled] = ring.term(UNIT_STATS, exps)
+        memo[labeled] = ring.term(UNIT_STATS, exps) * ring.factor(0, exps.count(1), len(ea))
         return memo[labeled]
 
-    d = _pick_d(labeled, strategy)
+    d = (max if strategy == "max" else min)(lab for lab, a in labeled if a == 0)
     ee = [lab for lab, a in labeled if a == 2]
-    rl = len(ea)
     total = 0
     for s in range(0, len(ee) + 1):
-        ratio = ring.ratio(rl - s, rl)
         for subset in itertools.combinations(ee, s):
             removed = set(subset) | {d}
             sub = tuple(entry for entry in labeled if entry[0] not in removed)
-            subtrace = _trace(sub, strategy, ring, memo)
             acc = 0
             for last, stats in reading_stats(subset, ea, d):
                 exps = [0] * n_top
@@ -94,7 +88,7 @@ def _trace(labeled: Labeled, strategy: str, ring: Ring, memo: dict):
                 exps[d - 1] += 1
                 exps[(d if last is None else last) - 1] -= 1  # the last deleted position
                 acc = acc + ring.term(stats, exps)
-            total = total + subtrace * acc * ratio
+            total = total + _trace(sub, strategy, ring, memo) * (acc * ring.factor(s, 0, 0))
     memo[labeled] = total
     return total
 

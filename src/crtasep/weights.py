@@ -8,22 +8,23 @@ of square columns whose arrow sits in a lower row, so the state after each
 row is a map U -> accumulated value.  Row i moves U to U | S for each set S
 of unused square columns, times one term per last label of S, read from
 ``combinatorics.reading_stats`` (the particle columns not in U).  At the
-end |U| is the arrow count a.  P_lambda, a sector sum, runs this DP once
-per word into one shared map a -> body: every word of a sector has the
-same r+l, so each body is multiplied once by its factorial ratio
-[r+l-a]!/[r+l]! and the answer is reduced once.  The partition function
-needs no tableaux: it is the product C(n, r+l) C(n, l).
+end |U| is the arrow count a, and body a takes the factorial ratio
+[r+l-a]!/[r+l]! = (1-t)^a / prod_{r+l-a<j<=r+l} (1 - q t^j) over the common
+denominator prod_{r+l-A<j<=r+l}, A the largest a: the sum stays integral and
+divides once.  P_lambda runs the DP once per word of its sector (all share
+r+l) into one map a -> body.  The partition function needs no tableaux: it
+is the product C(n, r+l) C(n, l).
 
-The values live in a small coefficient ``Ring`` whose terms take a Z[q, t]
-coefficient, as counts ((rec, dis, count), ...), and an x-monomial:
-``SYMBOLIC`` (x-monomials over Z[q, t], giving Tab_qtx; a body's
-coefficients become ``RatFunc`` only when a ratio multiplies it),
-``T_ONLY`` (t-polynomials, giving Tab_t) and ``point_ring`` (exact
-rationals at one point, each distinct coefficient valued once by
-``MultiPoly.evaluate``).  The trace recurrence in ``oracles.recurrence``
-uses ``SYMBOLIC`` and ``point_ring``.  ``wt_qtx`` and ``wt_t``, the weights
-of one tableau, are no DP: they follow the definition, a sum over the
-tableau's orderings.
+The values live in a small coefficient ``Ring``: ``term`` takes a Z[q, t]
+coefficient, as counts ((rec, dis, count), ...), and an x-monomial; ``factor``
+is (1-t)^a times a range of brackets 1 - q t^j; ``divide`` makes the answer.
+``SYMBOLIC`` (x-polynomials over Z[q, t]; one ``RatFunc``, so one gcd, per
+x-monomial of Tab_qtx), ``T_ONLY`` (t-polynomials, q = 1; Tab_t is one
+``RatFunc``) and ``point_ring`` (exact rationals at one point, each
+coefficient and factor valued once; a zero denominator raises ``PoleError``).
+The trace recurrence in ``oracles.recurrence`` uses ``SYMBOLIC`` and
+``point_ring``.  ``wt_qtx`` and ``wt_t``, the weights of one tableau, are
+no DP: they follow the definition, a sum over the orderings.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import Callable, NamedTuple
 
 from .algebra.poly import MultiPoly
 from .algebra.qtx import QtxExpr
-from .algebra.ratfunc import RatFunc, qt_factorial_ratio, t_factorial_ratio
+from .algebra.ratfunc import RatFunc, qt_factor, qt_factorial_ratio
 from .combinatorics import (
     UNIT_STATS,
     ArrowOrdering,
@@ -51,14 +52,15 @@ from .combinatorics import (
     recoils,
     row_reading,
 )
+from .errors import PoleError
+
 
 class Ring(NamedTuple):
-    """The coefficient ring of a tableau or trace sum.  Values of ``term``
-    are added and multiplied by each other; ``ratio`` values multiply them
-    into the ring of the answer."""
+    """The coefficient ring of a tableau or trace sum; ``divide`` runs once per sum."""
 
     term: Callable  # (((rec, dis, count), ...), x_exponents) -> sum count q^rec t^dis x^x_exponents
-    ratio: Callable  # (a, b) -> [a]!/[b]!
+    factor: Callable  # (a, lo, hi) -> qt_factor(a, lo, hi) = (1 - t)^a prod_{lo<j<=hi} (1 - q t^j)
+    divide: Callable  # (value, lo, hi) -> value / qt_factor(0, lo, hi), in the ring of the answer
 
 
 def _poly(stats, with_q: bool = True) -> MultiPoly:
@@ -72,26 +74,30 @@ def _poly(stats, with_q: bool = True) -> MultiPoly:
 
 SYMBOLIC = Ring(
     lambda stats, exps: QtxExpr.x_monomial(exps, _poly(stats)),
-    lambda a, b: QtxExpr.from_ratfunc(qt_factorial_ratio(a, b)),
+    lambda a, lo, hi: QtxExpr.x_monomial((), qt_factor(a, lo, hi)),
+    lambda value, lo, hi: QtxExpr({xs: RatFunc(c, qt_factor(0, lo, hi)) for xs, c in value.coeffs.items()}),
 )
-T_ONLY = Ring(lambda stats, exps: _poly(stats, with_q=False), t_factorial_ratio)
+T_ONLY = Ring(
+    lambda stats, exps: _poly(stats, with_q=False),
+    lambda a, lo, hi: qt_factor(a, lo, hi).subs_q(1),
+    lambda value, lo, hi: RatFunc(value, qt_factor(0, lo, hi).subs_q(1)),
+)
 
 
 def point_ring(q0, t0, xs, n: int) -> Ring:
     """The values at q = q0, t = t0 and the n values x = xs, as exact
     rationals."""
     q0, t0 = Fraction(q0), Fraction(t0)
+    (qn, qd), (tn, td) = q0.as_integer_ratio(), t0.as_integer_ratio()
     xs = tuple(Fraction(v) for v in xs)
     if len(xs) != n:
         raise ValueError(f"need {n} x-values")
-    ratios: dict[tuple[int, int], Fraction] = {}
-    values: dict[tuple, tuple[int, int]] = {}
     xs_nd = [x.as_integer_ratio() for x in xs]
+    # each distinct coefficient and factor is valued once; both caches are freed with the ring
+    value_of = lru_cache(maxsize=None)(lambda stats: _poly(stats).evaluate(q0, t0).as_integer_ratio())
 
     def term(stats, exps) -> Fraction:
-        if stats not in values:
-            values[stats] = _poly(stats).evaluate(q0, t0).as_integer_ratio()
-        num, den = values[stats]
+        num, den = value_of(stats)
         # exponents are never negative (x_last cancels x_d or an x_i^2), so
         # the powers stay ints: an int to a negative power is a float
         for (xn, xd), e in zip(xs_nd, exps):
@@ -100,15 +106,18 @@ def point_ring(q0, t0, xs, n: int) -> Ring:
                 den *= xd**e
         return Fraction(num, den)
 
-    def ratio(a: int, b: int) -> Fraction:
-        if (a, b) not in ratios:
-            v = Fraction(1)
-            for j in range(a + 1, b + 1):
-                v /= (1 - q0 * t0**j) / (1 - t0)
-            ratios[a, b] = v
-        return ratios[a, b]
+    @lru_cache(maxsize=None)
+    def factor(a: int, lo: int, hi: int) -> Fraction:
+        # in integers over one denominator: 1 - q0 t0^j = (qd td^j - qn tn^j) / (qd td^j)
+        num = prod((qd * td**j - qn * tn**j for j in range(lo + 1, hi + 1)), start=(td - tn) ** a)
+        return Fraction(num, qd ** (hi - lo) * td ** (a + sum(range(lo + 1, hi + 1))))
 
-    return Ring(term, ratio)
+    def divide(value: Fraction, lo: int, hi: int) -> Fraction:
+        if not factor(0, lo, hi):  # RatFunc.evaluate's error
+            raise PoleError(f"denominator vanishes at q={q0}, t={t0}")
+        return value / factor(0, lo, hi)
+
+    return Ring(term, factor, divide)
 
 
 def _fixed_exps(diagram: Diagram, used) -> list[int]:
@@ -140,7 +149,7 @@ def _row_factor(diagram: Diagram, d: int, cols, universe, term):
 def _tableau_sum(diagrams: list[Diagram], ring: Ring):
     """The sum of weights over every tableau of the diagrams, which share
     one r + l, in the ring: one row-subset DP per diagram into one map from
-    arrow count to body, then one factorial ratio per arrow count."""
+    arrow count to body, summed over one denominator and divided once."""
     by_arr: dict[int, object] = {}
     for diagram in diagrams:
         ea = diagram.word.ea()
@@ -163,8 +172,8 @@ def _tableau_sum(diagrams: list[Diagram], ring: Ring):
             v = value * ring.term(UNIT_STATS, _fixed_exps(diagram, used))
             a = len(used)
             by_arr[a] = by_arr[a] + v if a in by_arr else v
-    rl = diagrams[0].word.r + diagrams[0].word.l
-    return sum(ring.ratio(rl - a, rl) * body for a, body in sorted(by_arr.items()))
+    rl, top = diagrams[0].word.r + diagrams[0].word.l, max(by_arr)
+    return ring.divide(sum(body * ring.factor(a, rl - top, rl - a) for a, body in by_arr.items()), rl - top, rl)
 
 
 def wt_x(tableau: Tableau, ordering: ArrowOrdering) -> QtxExpr:

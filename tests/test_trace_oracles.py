@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from crtasep.algebra import MultiPoly, RatFunc, parse, poly_gcd
+from crtasep.algebra import MultiPoly, RatFunc, parse, poly_gcd, qt_factorial_ratio, ratfunc
 from crtasep.combinatorics import Word
-from crtasep.errors import DivergenceError, RelationViolation
+from crtasep.errors import DivergenceError, PoleError, RelationViolation
 from crtasep.oracles.matrices import (
     MAX_SIZE,
     _assert_equal_interior,
@@ -22,7 +22,7 @@ from crtasep.oracles.matrices import (
 )
 from crtasep.oracles import recurrence
 from crtasep.oracles.recurrence import f_mu, trace_by_recurrence, trace_rec_eval
-from crtasep.weights import macdonald_E, omega, tab_qtx, tab_qtx_eval
+from crtasep.weights import macdonald_E, macdonald_P, omega, tab_qtx, tab_qtx_eval, tab_t
 
 W = Word.from_string
 
@@ -80,6 +80,75 @@ def test_point_paths_at_signed_and_zero_points():
             mu, point = Word(letters), (q0, t0, xs[:n])
             assert tab_qtx_eval(mu, *point) == tab_qtx(mu).evaluate(*point), mu
             assert trace_rec_eval(mu, *point) == trace_by_recurrence(mu).evaluate(*point), mu
+
+
+def _small_words():
+    return [Word(letters) for n in range(1, 5) for letters in itertools.product((0, 1, 2), repeat=n)]
+
+
+def test_point_paths_at_t_equal_one():
+    # the factorial ratios' 1 - t factors vanish at t = 1, their 1 - q t^j
+    # denominators do not: the answer is finite
+    q0, t0, xs = Fraction(1, 2), Fraction(1), (Fraction(2, 3), Fraction(1), Fraction(4, 3), Fraction(5, 3))
+    assert tab_qtx_eval(W("210"), q0, t0, xs[:3]) == Fraction(4, 9)
+    assert trace_rec_eval(W("2010"), q0, t0, xs) == Fraction(32, 27)
+    for mu in _small_words():
+        point = (q0, t0, xs[: mu.n])
+        assert tab_qtx_eval(mu, *point) == tab_qtx(mu).evaluate(*point), mu
+        assert trace_rec_eval(mu, *point) == trace_by_recurrence(mu).evaluate(*point), mu
+
+
+def test_point_paths_raise_pole_error_where_a_bracket_vanishes():
+    # q0 t0^2 = 1: every product of 1 - q t^j over a range holding j = 2 vanishes
+    q0, t0, xs = Fraction(1, 4), Fraction(2), (Fraction(2, 3), Fraction(1), Fraction(4, 3), Fraction(5, 3))
+    with pytest.raises(PoleError) as symbolic:
+        qt_factorial_ratio(1, 2).evaluate(q0, t0)
+    raised = set()
+    for mu in _small_words():
+        point = (q0, t0, xs[: mu.n])
+        for name, at_point, exact in (("tab", tab_qtx_eval, tab_qtx), ("trace", trace_rec_eval, trace_by_recurrence)):
+            try:
+                value = at_point(mu, *point)
+            except PoleError as exc:
+                assert str(exc) == str(symbolic.value), (name, mu)
+                raised.add((name, str(mu)))
+            else:
+                assert value == exact(mu).evaluate(*point), (name, mu)
+    # the trace's denominator is prod_{r <= j <= r+l}, so it holds j = 2 iff r <= 2 <= r + l
+    assert {str(mu) for name, mu in raised if name == "trace"} == {
+        str(mu) for mu in _small_words() if mu.r <= 2 <= mu.r + mu.l
+    }
+    assert ("tab", "210") in raised
+
+
+def test_unknown_d_strategy_is_rejected_without_holes():
+    for strategy in ("bogus", "MAX"):
+        with pytest.raises(ValueError, match="unknown d strategy"):
+            trace_by_recurrence(W("21"), strategy)
+        with pytest.raises(ValueError, match="unknown d strategy"):
+            trace_rec_eval(W("21"), 1, 1, (1, 1), strategy)
+
+
+def test_one_gcd_per_x_monomial_of_the_answer(monkeypatch):
+    # each kernel sums in Z[q, t][x] and divides once: RatFunc runs poly_gcd
+    # at most once per x-monomial of the answer, and tab_t at most once
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", counting)
+    for text in ("2110", "201021", "220110", "212000"):
+        mu = W(text)
+        for kernel, bound in ((tab_t, lambda _: 1), (tab_qtx, len), (trace_by_recurrence, len)):
+            calls.clear()
+            value = kernel(mu)
+            assert 0 < len(calls) <= bound(getattr(value, "coeffs", None)), (kernel.__name__, text, len(calls))
+    for text in ("2110", "21100", "221000"):
+        calls.clear()
+        value = macdonald_P(W(text))
+        assert 0 < len(calls) <= len(value.coeffs), (text, len(calls))
 
 
 def test_recurrence_retains_nothing_between_calls():
