@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -48,6 +49,10 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+# argparse reads "-5" and "-0.5" as values but "-1/2" as an option: add "-p/q"
+NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crtasep",
@@ -58,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = NEGATIVE_NUMBER
         p.add_argument("--json", action="store_true", help="emit JSON instead of canonical text")
         return p
 

@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .algebra.poly import MultiPoly
 from .errors import NotAPartition
 
 
@@ -358,18 +359,17 @@ def partial_perms(labels: Sequence[int], universe: Sequence[int], d: int) -> Ite
 
 
 # G: a layout (reading length, rank of d, label slots) -> per label ascending,
-# ((rec, dis, count), ...) over the orders ending in it.  Words of length n have
+# the sum of q^rec t^dis over the orders ending in it.  Words of length n have
 # at most sum_{m<n} (m+1) 2^m layouts: the cap holds all of ``verify``'s n <= 10.
 READING_STATS_CAP = 9 * 2**10 + 1
-UNIT_STATS = ((0, 0, 1),)  # the one order of no labels
 _READING_STATS: dict[tuple, tuple] = {}
-_INTERNED = {UNIT_STATS: UNIT_STATS}  # equal tuples of G, at every depth, share one object
+_INTERNED = {MultiPoly.one(): MultiPoly.one()}  # equal polynomials of G share one object
 # (tuples here are built from lists, not generators: see the free-list note in ``algebra.poly``)
 
 
 def reading_stats(labels: Sequence[int], universe: Sequence[int], d: int):
-    """(c, G's counts over the orders of ``partial_perms(labels, universe, d)``
-    that end in c) for each label c ascending; (None, UNIT_STATS) if none."""
+    """(c, the sum of q^rec t^dis over the orders of ``partial_perms(labels,
+    universe, d)`` that end in c) for each label c ascending; (None, 1) if none."""
     labels = sorted(labels)
     key = (len(universe) + 1, bisect_left(universe, d), *[bisect_left(universe, c) + (c > d) for c in labels])
     entry = _READING_STATS.get(key)
@@ -377,14 +377,7 @@ def reading_stats(labels: Sequence[int], universe: Sequence[int], d: int):
         counts = {c: Counter() for c in labels or (None,)}
         for order, reading in partial_perms(labels, universe, d):
             counts[order[-1] if order else None][recoils(reading), disorder(reading)] += 1
-        entry = tuple([tuple([(rec, dis, n) for (rec, dis), n in sorted(g.items())]) for g in counts.values()])
+        entry = tuple([MultiPoly(g) for g in counts.values()])
         if len(_READING_STATS) < READING_STATS_CAP:
-            entry = _READING_STATS[key] = _interned(entry)
+            entry = _READING_STATS[key] = tuple([_INTERNED.setdefault(p, p) for p in entry])
     return zip(labels or (None,), entry)
-
-
-def _interned(t):
-    if isinstance(t, tuple):
-        t = tuple([_interned(e) for e in t])
-        return _INTERNED.setdefault(t, t)
-    return t

@@ -15,10 +15,11 @@ integral N(w) = (1 - q t^r) tr(w) prod_{r<j<=rl(w)} (1 - q t^j), the sum of
 The recurrence is written once, over a coefficient ``Ring`` from
 ``weights``: ``SYMBOLIC`` gives the trace in Q(q,t)[x], ``point_ring`` its
 value at one exact point.  Each I gives one term per last deleted position,
-its orders' q^rec t^dis counts read from ``combinatorics.reading_stats``,
-the tableau kernel's table.  Each top-level call has its own memo, freed on
-return: one memo shared over a ``verify recurrence`` sweep gained little
-time (n = 7: 18.1 s vs 21.2 s) for three times the peak (80 MB vs 27 MB).
+its orders' q^rec t^dis as one polynomial from ``combinatorics.reading_stats``,
+the tableau kernel's table; sums start from their first term, in the ring.
+Each top-level call has its own memo, freed on return: one memo shared over
+a ``verify recurrence`` sweep gained little time (n = 7: 18.1 s vs 21.2 s)
+for three times the peak (80 MB vs 27 MB).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from ..algebra import QtxExpr
-from ..combinatorics import UNIT_STATS, Word, reading_stats
+from ..algebra import MultiPoly, QtxExpr
+from ..combinatorics import Word, reading_stats
 from ..weights import SYMBOLIC, Ring, omega, point_ring
 
 Labeled = tuple[tuple[int, int], ...]  # ((label, letter), ...)
@@ -70,25 +71,27 @@ def _trace(labeled: Labeled, strategy: str, ring: Ring, memo: dict):
         exps = [0] * n_top
         for lab, a in labeled:
             exps[lab - 1] = a  # x once per 1, squared per 2
-        memo[labeled] = ring.term(UNIT_STATS, exps) * ring.factor(0, exps.count(1), len(ea))
+        memo[labeled] = ring.term(MultiPoly.one(), exps) * ring.factor(0, exps.count(1), len(ea))
         return memo[labeled]
 
     d = (max if strategy == "max" else min)(lab for lab, a in labeled if a == 0)
     ee = [lab for lab, a in labeled if a == 2]
-    total = 0
+    total = None
     for s in range(0, len(ee) + 1):
         for subset in itertools.combinations(ee, s):
             removed = set(subset) | {d}
             sub = tuple(entry for entry in labeled if entry[0] not in removed)
-            acc = 0
-            for last, stats in reading_stats(subset, ea, d):
+            acc = None
+            for last, coeff in reading_stats(subset, ea, d):
                 exps = [0] * n_top
                 for c in subset:
                     exps[c - 1] += 2
                 exps[d - 1] += 1
                 exps[(d if last is None else last) - 1] -= 1  # the last deleted position
-                acc = acc + ring.term(stats, exps)
-            total = total + _trace(sub, strategy, ring, memo) * (acc * ring.factor(s, 0, 0))
+                v = ring.term(coeff, exps)
+                acc = v if acc is None else acc + v
+            v = _trace(sub, strategy, ring, memo) * (acc * ring.factor(s, 0, 0))
+            total = v if total is None else total + v
     memo[labeled] = total
     return total
 

@@ -15,31 +15,32 @@ divides once.  P_lambda runs the DP once per word of its sector (all share
 r+l) into one map a -> body.  The partition function needs no tableaux: it
 is the product C(n, r+l) C(n, l).
 
-The values live in a small coefficient ``Ring``: ``term`` takes a Z[q, t]
-coefficient, as counts ((rec, dis, count), ...), and an x-monomial; ``factor``
-is (1-t)^a times a range of brackets 1 - q t^j; ``divide`` makes the answer.
-``SYMBOLIC`` (x-polynomials over Z[q, t]; one ``RatFunc``, so one gcd, per
-x-monomial of Tab_qtx), ``T_ONLY`` (t-polynomials, q = 1; Tab_t is one
-``RatFunc``) and ``point_ring`` (exact rationals at one point, each
-coefficient and factor valued once; a zero denominator raises ``PoleError``).
-The trace recurrence in ``oracles.recurrence`` uses ``SYMBOLIC`` and
-``point_ring``.  ``wt_qtx`` and ``wt_t``, the weights of one tableau, are
-no DP: they follow the definition, a sum over the orderings.
+The values live in a small coefficient ``Ring``: ``term`` takes G's Z[q, t]
+polynomial and an x-monomial; ``factor`` is (1-t)^a times a range of
+brackets 1 - q t^j; ``divide`` makes the answer.  Each ring maps a polynomial
+once: ``SYMBOLIC`` keeps it (one ``RatFunc``, so one gcd, per x-monomial of
+Tab_qtx), ``T_ONLY`` sets q = 1 through one cache (Tab_t is one ``RatFunc``)
+and ``point_ring`` values it once (a zero denominator raises ``PoleError``).
+Every sum starts from its first term and stays in the ring up to the one
+division; the stationary law's Z, an integer, joins that division.  The
+trace recurrence in ``oracles.recurrence`` uses ``SYMBOLIC`` and
+``point_ring``.  ``wt_qtx`` and ``wt_t``, the weights of one tableau, are no
+DP: they follow the definition, a sum over the orderings.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, prod
+from operator import add
 from typing import Callable, NamedTuple
 
 from .algebra.poly import MultiPoly
 from .algebra.qtx import QtxExpr
 from .algebra.ratfunc import RatFunc, qt_factor, qt_factorial_ratio
 from .combinatorics import (
-    UNIT_STATS,
     ArrowOrdering,
     Diagram,
     Tableau,
@@ -58,29 +59,22 @@ from .errors import PoleError
 class Ring(NamedTuple):
     """The coefficient ring of a tableau or trace sum; ``divide`` runs once per sum."""
 
-    term: Callable  # (((rec, dis, count), ...), x_exponents) -> sum count q^rec t^dis x^x_exponents
+    term: Callable  # (coefficient in Z[q, t], x_exponents) -> coefficient x^x_exponents
     factor: Callable  # (a, lo, hi) -> qt_factor(a, lo, hi) = (1 - t)^a prod_{lo<j<=hi} (1 - q t^j)
     divide: Callable  # (value, lo, hi) -> value / qt_factor(0, lo, hi), in the ring of the answer
 
 
-def _poly(stats, with_q: bool = True) -> MultiPoly:
-    """The polynomial of G's counts ((rec, dis, count), ...), at q = 1 unless ``with_q``."""
-    terms: dict = {}
-    for rec, dis, count in stats:
-        key = (rec if with_q else 0, dis)
-        terms[key] = terms.get(key, 0) + count
-    return MultiPoly(terms)
-
-
 SYMBOLIC = Ring(
-    lambda stats, exps: QtxExpr.x_monomial(exps, _poly(stats)),
+    lambda coeff, exps: QtxExpr.x_monomial(exps, coeff),
     lambda a, lo, hi: QtxExpr.x_monomial((), qt_factor(a, lo, hi)),
     lambda value, lo, hi: QtxExpr({xs: RatFunc(c, qt_factor(0, lo, hi)) for xs, c in value.coeffs.items()}),
 )
+# keys: G's interned polynomials and qt_factor's values (23 in a law-sweep pass)
+_at_q1 = lru_cache(maxsize=4096)(lambda p: p.subs_q(1))
 T_ONLY = Ring(
-    lambda stats, exps: _poly(stats, with_q=False),
-    lambda a, lo, hi: qt_factor(a, lo, hi).subs_q(1),
-    lambda value, lo, hi: RatFunc(value, qt_factor(0, lo, hi).subs_q(1)),
+    lambda coeff, exps: _at_q1(coeff),
+    lambda a, lo, hi: _at_q1(qt_factor(a, lo, hi)),
+    lambda value, lo, hi: RatFunc(value, _at_q1(qt_factor(0, lo, hi))),
 )
 
 
@@ -94,10 +88,10 @@ def point_ring(q0, t0, xs, n: int) -> Ring:
         raise ValueError(f"need {n} x-values")
     xs_nd = [x.as_integer_ratio() for x in xs]
     # each distinct coefficient and factor is valued once; both caches are freed with the ring
-    value_of = lru_cache(maxsize=None)(lambda stats: _poly(stats).evaluate(q0, t0).as_integer_ratio())
+    value_of = lru_cache(maxsize=None)(lambda coeff: coeff.evaluate(q0, t0).as_integer_ratio())
 
-    def term(stats, exps) -> Fraction:
-        num, den = value_of(stats)
+    def term(coeff, exps) -> Fraction:
+        num, den = value_of(coeff)
         # exponents are never negative (x_last cancels x_d or an x_i^2), so
         # the powers stay ints: an int to a negative power is a float
         for (xn, xd), e in zip(xs_nd, exps):
@@ -135,13 +129,13 @@ def _row_factor(diagram: Diagram, d: int, cols, universe, term):
     labeled d, whose readable columns are ``universe``: q^rec t^dis x_d
     x_{every arrow but the last labeled}, one term per last label."""
     total = None
-    for last, stats in reading_stats(cols, universe, d):
+    for last, coeff in reading_stats(cols, universe, d):
         exps = [0] * diagram.word.n
         exps[d - 1] = 1
         for c in cols:
             exps[c - 1] += 1
         exps[last - 1] -= 1
-        v = term(stats, exps)
+        v = term(coeff, exps)
         total = v if total is None else total + v
     return total
 
@@ -153,7 +147,7 @@ def _tableau_sum(diagrams: list[Diagram], ring: Ring):
     by_arr: dict[int, object] = {}
     for diagram in diagrams:
         ea = diagram.word.ea()
-        states = {frozenset(): ring.term(UNIT_STATS, ())}
+        states = {frozenset(): ring.term(MultiPoly.one(), ())}
         for i in range(1, diagram.k + 1):
             d = diagram.row_label(i)
             after: dict[frozenset, object] = {}
@@ -169,11 +163,12 @@ def _tableau_sum(diagrams: list[Diagram], ring: Ring):
                         after[key] = after[key] + v if key in after else v
             states = after
         for used, value in states.items():
-            v = value * ring.term(UNIT_STATS, _fixed_exps(diagram, used))
+            v = value * ring.term(MultiPoly.one(), _fixed_exps(diagram, used))
             a = len(used)
             by_arr[a] = by_arr[a] + v if a in by_arr else v
     rl, top = diagrams[0].word.r + diagrams[0].word.l, max(by_arr)
-    return ring.divide(sum(body * ring.factor(a, rl - top, rl - a) for a, body in by_arr.items()), rl - top, rl)
+    total = reduce(add, [body * ring.factor(a, rl - top, rl - a) for a, body in by_arr.items()])
+    return ring.divide(total, rl - top, rl)
 
 
 def wt_x(tableau: Tableau, ordering: ArrowOrdering) -> QtxExpr:
@@ -249,8 +244,10 @@ def partition_function(k: int, r: int, l: int) -> RatFunc:
 
 
 def stationary_prob(mu: Word) -> RatFunc:
-    """Steady-state probability of a state, as a rational function of t."""
-    return tab_t(mu) / partition_function(mu.k, mu.r, mu.l)
+    """Steady-state probability of a state, as a rational function of t; Tab_t
+    is reduced and Z an integer, so Z joins its denominator with no gcd."""
+    law, z = tab_t(mu), partition_function(mu.k, mu.r, mu.l)
+    return RatFunc._reduced(law.num, law.den * z.num)
 
 
 # -- Macdonald polynomials ---------------------------------------------------

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import sys
+from fractions import Fraction
 from math import comb
 
 from hypothesis import given, settings
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 from crtasep.algebra import canonical_string, from_json, parse
 from crtasep.cli import main
 from crtasep.combinatorics import Word
-from crtasep.oracles.matrices import MAX_SIZE
+from crtasep.oracles.matrices import MAX_SIZE, truncated_trace
 from crtasep.queues import TwoLineQueue, queue_type
 from crtasep.verify import MAX_BOUND_N, SUITES
-from crtasep.weights import macdonald_E, tab_qtx
+from crtasep.weights import macdonald_E, stationary_prob, tab_qtx
 
 
 def run(capsys, *argv):
@@ -185,6 +186,19 @@ def test_trace_symbolic_and_numeric(capsys):
     assert code == 0 and "/" in out  # exact rational
     code, _, err = run(capsys, "trace", "12", "--numeric", "3", "1/2")
     assert code == 3
+
+
+def test_negative_rationals_are_values(capsys):
+    # "-p/q" matches neither of argparse's negative-number forms, "-5" and "-0.5"
+    code, out, _ = run(capsys, "prob", "210", "--at-t", "-1/2")
+    want = stationary_prob(Word.from_string("210")).evaluate(1, Fraction(-1, 2))
+    assert code == 0 and out.strip() == str(want) == "1/3"
+    code, out, _ = run(capsys, "trace", "0212", "--numeric", "-1/3", "1/2")
+    want = truncated_trace(Word.from_string("0212"), Fraction(-1, 3), Fraction(1, 2))
+    assert code == 0 and out.strip() == repr(want) and abs(want - 1.4505) < 1e-4
+    code, out, _ = run(capsys, "trace", "12", "--numeric", "1/3", "1/2", "--x", "-1/2", "1")
+    want = truncated_trace(Word.from_string("12"), Fraction(1, 3), Fraction(1, 2), [Fraction(-1, 2), Fraction(1)])
+    assert code == 0 and out.strip() == repr(want)
 
 
 def test_determinism(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crtasep.algebra import MultiPoly
 from crtasep.combinatorics import (
     ArrowOrdering,
     PartialPerm,
@@ -122,16 +123,16 @@ def test_row_readings_match_worked_example():
     assert str(row_reading(tableau, 1, ordering)) == "* * * 1 * 0 * *"
     assert str(row_reading(tableau, 2, ordering)) == "3 * 1 0 * * 2"
     assert str(row_reading(tableau, 3, ordering)) == "0 * * *"
-    # the table G holds the same rows' (rec, dis) counts by the column
+    # the table G holds the same rows' q^rec t^dis, summed by the column
     # labeled last; row 2's disorders are the worked values of its 6 orders
-    assert dict(reading_stats((5,), EXAMPLE_WORD.ea(), 8)) == {5: ((1, 5, 1),)}
+    assert dict(reading_stats((5,), EXAMPLE_WORD.ea(), 8)) == {5: MultiPoly({(1, 5): 1})}
     universe = [c for c in EXAMPLE_WORD.ea() if c != 5]  # column 5's arrow is in row 1
     assert dict(reading_stats((4, 10, 2), universe, 6)) == {
-        2: ((2, 6, 1), (2, 7, 1)),
-        4: ((1, 3, 1), (2, 8, 1)),
-        10: ((1, 6, 1), (2, 11, 1)),
+        2: MultiPoly({(2, 6): 1, (2, 7): 1}),
+        4: MultiPoly({(1, 3): 1, (2, 8): 1}),
+        10: MultiPoly({(1, 6): 1, (2, 11): 1}),
     }
-    assert dict(reading_stats((), EXAMPLE_WORD.ea(), 1)) == {None: ((0, 0, 1),)}
+    assert dict(reading_stats((), EXAMPLE_WORD.ea(), 1)) == {None: MultiPoly({(0, 0): 1})}
 
 
 def reference_reading(tableau, i, ordering):
@@ -179,7 +180,7 @@ def test_reading_stats_match_the_plain_loop():
                         group[stat] = group.get(stat, 0) + 1
                     for labels_in in (labels, labels[::-1]):  # pairs follow the labels, not their order
                         pairs = reading_stats(labels_in, universe, d)
-                        got = {c: {(rec, dis): n for rec, dis, n in stats} for c, stats in pairs}
+                        got = {c: coeff.terms for c, coeff in pairs}  # (rec, dis) -> count
                         assert got == want, (labels, universe, d)
                     layouts += 1
     assert layouts == sum((m + 1) * 2**m for m in range(5))

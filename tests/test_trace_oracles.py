@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from crtasep.algebra import MultiPoly, RatFunc, parse, poly_gcd, qt_factorial_ratio, ratfunc
+from crtasep.algebra import MultiPoly, RatFunc, parse, poly_gcd, qt_factorial_ratio, qtx, ratfunc
 from crtasep.combinatorics import Word
 from crtasep.errors import DivergenceError, PoleError, RelationViolation
 from crtasep.oracles.matrices import (
@@ -22,7 +22,7 @@ from crtasep.oracles.matrices import (
 )
 from crtasep.oracles import recurrence
 from crtasep.oracles.recurrence import f_mu, trace_by_recurrence, trace_rec_eval
-from crtasep.weights import macdonald_E, macdonald_P, omega, tab_qtx, tab_qtx_eval, tab_t
+from crtasep.weights import macdonald_E, macdonald_P, omega, stationary_prob, tab_qtx, tab_qtx_eval, tab_t
 
 W = Word.from_string
 
@@ -131,7 +131,8 @@ def test_unknown_d_strategy_is_rejected_without_holes():
 
 def test_one_gcd_per_x_monomial_of_the_answer(monkeypatch):
     # each kernel sums in Z[q, t][x] and divides once: RatFunc runs poly_gcd
-    # at most once per x-monomial of the answer, and tab_t at most once
+    # at most once per x-monomial of the answer, and tab_t and the stationary
+    # law (Tab_t over the integer Z) at most once
     calls = []
 
     def counting(a, b):
@@ -149,6 +150,32 @@ def test_one_gcd_per_x_monomial_of_the_answer(monkeypatch):
         calls.clear()
         value = macdonald_P(W(text))
         assert 0 < len(calls) <= len(value.coeffs), (text, len(calls))
+    for text in ("2110", "201021", "20102010"):
+        calls.clear()
+        stationary_prob(W(text))
+        assert 0 < len(calls) <= 1, (text, len(calls))
+
+
+def test_kernel_sums_coerce_no_int(monkeypatch):
+    # every sum starts from its first term, so none passes through Q(q, t)[x]'s
+    # coercion of an int 0
+    ints = []
+    coerce = qtx._coerce
+
+    def counting(value):
+        if isinstance(value, int):
+            ints.append(value)
+        return coerce(value)
+
+    monkeypatch.setattr(qtx, "_coerce", counting)
+    for n in range(1, 6):
+        for letters in itertools.product((0, 1, 2), repeat=n):
+            mu = Word(letters)
+            tab_qtx(mu)
+            trace_by_recurrence(mu)
+            if mu.is_partition():
+                macdonald_P(mu)
+    assert len(ints) == 0
 
 
 def test_recurrence_retains_nothing_between_calls():

@@ -20,6 +20,7 @@ from crtasep.algebra import (
     canonical_string,
     parse,
     qt_factorial_ratio,
+    ratfunc_string,
     t_bracket,
     t_factorial_ratio,
 )
@@ -188,19 +189,19 @@ def test_reading_stats_table_stays_within_its_bound():
     assert 0 < len(combinatorics._READING_STATS) <= sum((m + 1) * 2**m for m in range(5))
 
 
-stats_tuples = st.dictionaries(
+coefficients = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 9)), st.integers(1, 30), min_size=1, max_size=6
-).map(lambda d: tuple((rec, dis, n) for (rec, dis), n in sorted(d.items())))
+).map(MultiPoly)
 
 
 @settings(max_examples=50, deadline=None)
-@given(stats_tuples, st.fractions(min_value=-2, max_value=2, max_denominator=7), st.fractions(max_denominator=7))
-def test_point_ring_caches_the_value_of_each_coefficient(stats, q0, t0):
+@given(coefficients, st.fractions(min_value=-2, max_value=2, max_denominator=7), st.fractions(max_denominator=7))
+def test_point_ring_caches_the_value_of_each_coefficient(coeff, q0, t0):
     term = point_ring(q0, t0, (Fraction(3, 2), Fraction(-2)), 2).term
-    want = MultiPoly({(rec, dis): n for rec, dis, n in stats}).evaluate(q0, t0)
-    assert term(stats, (0, 0)) == want
-    assert term(stats, (2, 1)) == want * Fraction(9, 4) * -2  # from the cache
-    assert term(stats, (0, 0)) == want
+    want = coeff.evaluate(q0, t0)
+    assert term(coeff, (0, 0)) == want
+    assert term(coeff, (2, 1)) == want * Fraction(9, 4) * -2  # from the cache
+    assert term(coeff, (0, 0)) == want
 
 
 def test_partition_function_values():
@@ -251,6 +252,17 @@ def test_stationary_probabilities_normalise():
     assert stationary_prob(W("000")) == RatFunc.one()
     # uniform at t = 1
     assert stationary_prob(W("201021")).evaluate(1, 1) == Fraction(1, 90)
+
+
+def test_stationary_prob_is_tab_t_over_z_in_canonical_form():
+    # Z joins Tab_t's denominator without a gcd: the result must still be
+    # the field quotient's canonical form
+    for n in range(1, 7):
+        for letters in itertools.product((0, 1, 2), repeat=n):
+            mu = Word(letters)
+            want = tab_t(mu) / partition_function(mu.k, mu.r, mu.l)
+            got = stationary_prob(mu)
+            assert got == want and ratfunc_string(got) == ratfunc_string(want), mu
 
 
 def test_macdonald_e_221100_matches_display():
