@@ -203,12 +203,17 @@ class MultiPoly(Arithmetic):
 
     # -- substitution and evaluation -----------------------------------
 
-    def evaluate(self, q0, t0) -> Fraction:
-        """The value at q0 = a/b, t0 = c/e as one ``Fraction``: the integer sum
-        of k a^i b^(Dq-i) c^j e^(Dt-j) over terms k q^i t^j, over b^Dq e^Dt."""
-        (a, b), (c, e) = Fraction(q0).as_integer_ratio(), Fraction(t0).as_integer_ratio()
+    def scaled_value(self, a: int, b: int, c: int, e: int) -> tuple[int, int, int]:
+        """(b^Dq e^Dt times the value at q = a/b, t = c/e, Dq, Dt): the first
+        is the integer sum of k a^i b^(Dq-i) c^j e^(Dt-j) over terms k q^i t^j."""
         dq, dt = self.degree_q(), self.degree_t()
-        num = sum(k * a**i * b ** (dq - i) * c**j * e ** (dt - j) for (i, j), k in self.terms.items())
+        return sum(k * a**i * b ** (dq - i) * c**j * e ** (dt - j) for (i, j), k in self.terms.items()), dq, dt
+
+    def evaluate(self, q0, t0) -> Fraction:
+        """The value at q0 = a/b, t0 = c/e as one ``Fraction``, the scaled
+        value over b^Dq e^Dt."""
+        (a, b), (c, e) = Fraction(q0).as_integer_ratio(), Fraction(t0).as_integer_ratio()
+        num, dq, dt = self.scaled_value(a, b, c, e)
         return Fraction(num, b**dq * e**dt)
 
     def subs_q(self, q0, d: int | None = None) -> "MultiPoly":

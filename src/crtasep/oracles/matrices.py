@@ -10,14 +10,15 @@ Matrices (rows and columns indexed from 0):
 An N-truncation is stored by its diagonals, ``{d: [entry (i, i + d) for
 row i in 0..N-1]}``, with 0 where (i, i + d) is off the matrix.  Every
 factor has at most one off-diagonal, so a product adds at most two terms
-per entry and the trace is the sum of diagonal 0.  A0 moves a diagonal up
-by 1, A2 down by 1, A1 and S not at all, so after each factor
-``product_trace`` computes only the diagonals d with -(A0s left) <= d <=
-(A2s left), the ones that can still reach diagonal 0; each of them gets the
-same terms in the same order as without pruning.  A truncation to N rows
-is exact on entries (i, j) with i, j <= N-2 for a product of two bands,
-which is what the relation checks use.  Truncations are at most
-``MAX_SIZE`` rows.
+per entry and the trace is the sum of diagonal 0.  ``product_trace``
+applies each factor to the product's diagonals directly.  A0 moves a
+diagonal up by 1, A2 down by 1, A1 and S not at all, so after each factor it
+computes only the diagonals d with -(A0s left) <= d <= (A2s left), the ones
+that can still reach diagonal 0; each gets the terms of the full
+``banded_mul`` product, at most two, whose float sum is order-free.  A
+truncation to N rows is exact on entries (i, j) with i, j <= N-2 for a
+product of two bands, which is what the relation checks use.  Truncations
+are at most ``MAX_SIZE`` rows.
 """
 
 from __future__ import annotations
@@ -53,15 +54,12 @@ def banded_matrix(kind: str, x, size: int, q=None, t=None) -> Banded:
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
-def banded_mul(a: Banded, b: Banded, keep: range | None = None) -> Banded:
+def banded_mul(a: Banded, b: Banded) -> Banded:
     """Product of two truncations: entry (i, i + da + db) gains
-    a[da][i] * b[db][i + da] wherever row i + da exists.  Only the diagonals
-    in ``keep`` are computed, when it is given."""
+    a[da][i] * b[db][i + da] wherever row i + da exists."""
     out: Banded = {}
     for da, ra in a.items():
         for db, rb in b.items():
-            if keep is not None and da + db not in keep:
-                continue
             row = out.setdefault(da + db, [0] * len(ra))
             for i in range(max(0, -da), min(len(ra), len(ra) - da)):
                 row[i] += ra[i] * rb[i + da]
@@ -69,16 +67,38 @@ def banded_mul(a: Banded, b: Banded, keep: range | None = None) -> Banded:
 
 
 def product_trace(mu: Word, q0, t0, xs, size: int) -> Fraction:
-    """Exact trace of the N-truncation of A_{mu_1}(x_1)...A_{mu_n}(x_n) S.
-    The factors are built one at a time, and each product keeps only the
-    diagonals that can still reach diagonal 0."""
-    factors = [(("A0", "A1", "A2")[a], x) for a, x in zip(mu.letters, xs)] + [("S", None)]
-    prod = banded_matrix(*factors[0], size, q=q0, t=t0)
-    for j, (kind, x) in enumerate(factors[1:], start=1):
+    """Exact trace of the N-truncation of A_{mu_1}(x_1)...A_{mu_n}(x_n) S:
+    from the identity, each factor in turn is applied to the product's
+    diagonals."""
+    one = 1.0 if isinstance(q0, float) else 1
+    # a factor's entries by row j sit at off + j between off zeros each side;
+    # a kept diagonal has |d| < n and reads rows i + d - 1 to i + d + 1
+    off = mu.n + 1
+    pad, zeros = [0] * off, [0] * size  # zeros: a diagonal the product lacks
+    prod = {0: [one] * size}
+    for j, (a, x) in enumerate(zip(mu.letters, xs)):
         rest = mu.letters[j + 1 :]  # the A0s and A2s still to come
         keep = range(-rest.count(0), rest.count(2) + 1)
-        prod = banded_mul(prod, banded_matrix(kind, x, size, q=q0, t=t0), keep)
-    return sum(v for v in prod[0] if v)  # an all-zero trace stays the integer 0
+        if a == 1:  # p[d][i] x t^(i+d)
+            w = pad + [x * ti for ti in _powers(t0, one, size)] + pad
+            prod = {d: [u * c for u, c in zip(p, w[off + d :])] for d, p in prod.items() if d in keep}
+            continue
+        if a == 0:  # p[d][i] + p[d-1][i] x while column i+d exists; u * one is u exactly
+            m, s, w = one, -1, [x] * (size - 1) + [0]
+        else:  # p[d][i] x^2 + p[d+1][i] x (1 - t^(i+d+1))
+            m, s, w = x * x, 1, [x * (one - ti) if i else 0 for i, ti in enumerate(_powers(t0, one, size))]
+        w = pad + w + pad
+        prod = {
+            d: [u * m + v * c for u, v, c in zip(prod.get(d, zeros), prod.get(d + s, zeros), w[off + d + s :])]
+            for d in keep
+            if d in prod or d + s in prod
+        }
+    total = 0  # an all-zero trace stays the integer 0
+    for u, c in zip(prod[0], _powers(q0, one, size)):
+        v = u * c
+        if v:
+            total += v  # left to right: sum() of floats compensates from Python 3.12 on
+    return total
 
 
 REL_TOL = 1e-10  # numeric truncated_trace: agreement of successive truncations

@@ -20,7 +20,8 @@ polynomial and an x-monomial; ``factor`` is (1-t)^a times a range of
 brackets 1 - q t^j; ``divide`` makes the answer.  Each ring maps a polynomial
 once: ``SYMBOLIC`` keeps it (one ``RatFunc``, so one gcd, per x-monomial of
 Tab_qtx), ``T_ONLY`` sets q = 1 through one cache (Tab_t is one ``RatFunc``)
-and ``point_ring`` values it once (a zero denominator raises ``PoleError``).
+and ``point_ring`` values it once, as an int over a power of the point's
+common denominator, up to one ``Fraction`` (a zero denominator: ``PoleError``).
 Every sum starts from its first term and stays in the ring up to the one
 division; the stationary law's Z, an integer, joins that division.  The
 trace recurrence in ``oracles.recurrence`` uses ``SYMBOLIC`` and
@@ -33,7 +34,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, prod
+from math import comb, lcm, prod
 from operator import add
 from typing import Callable, NamedTuple
 
@@ -78,38 +79,64 @@ T_ONLY = Ring(
 )
 
 
+class _Scaled:
+    """A point ring's value v / L^k, L the ring's common denominator, as two
+    ints; ``power`` is the ring's table d -> L^d.  ``+`` brings both to the
+    larger k, ``*`` adds the k's."""
+
+    __slots__ = ("v", "k", "power")
+
+    def __init__(self, v: int, k: int, power: Callable[[int], int]):
+        self.v, self.k, self.power = v, k, power
+
+    def __add__(self, other: _Scaled) -> _Scaled:
+        hi, lo = (self, other) if self.k >= other.k else (other, self)
+        return _Scaled(hi.v + lo.v * self.power(hi.k - lo.k), hi.k, self.power)
+
+    def __mul__(self, other: _Scaled) -> _Scaled:
+        return _Scaled(self.v * other.v, self.k + other.k, self.power)
+
+
 def point_ring(q0, t0, xs, n: int) -> Ring:
-    """The values at q = q0, t = t0 and the n values x = xs, as exact
-    rationals."""
+    """The values at q = q0, t = t0 and the n values x = xs, exact.  With L
+    the lcm of their denominators, Q = q0 L, T = t0 L and X_i = x_i L are
+    ints, and every value up to ``divide`` is an int over a power of L."""
     q0, t0 = Fraction(q0), Fraction(t0)
-    (qn, qd), (tn, td) = q0.as_integer_ratio(), t0.as_integer_ratio()
     xs = tuple(Fraction(v) for v in xs)
     if len(xs) != n:
         raise ValueError(f"need {n} x-values")
-    xs_nd = [x.as_integer_ratio() for x in xs]
-    # each distinct coefficient and factor is valued once; both caches are freed with the ring
-    value_of = lru_cache(maxsize=None)(lambda coeff: coeff.evaluate(q0, t0).as_integer_ratio())
-
-    def term(coeff, exps) -> Fraction:
-        num, den = value_of(coeff)
-        # exponents are never negative (x_last cancels x_d or an x_i^2), so
-        # the powers stay ints: an int to a negative power is a float
-        for (xn, xd), e in zip(xs_nd, exps):
-            if e:
-                num *= xn**e
-                den *= xd**e
-        return Fraction(num, den)
+    L = lcm(q0.denominator, t0.denominator, *(x.denominator for x in xs))
+    Q, T, *X = (v.numerator * (L // v.denominator) for v in (q0, t0, *xs))
+    # the powers of L, each coefficient's value and each factor are made
+    # once; the caches are freed with the ring
+    power = lru_cache(maxsize=None)(L.__pow__)
 
     @lru_cache(maxsize=None)
-    def factor(a: int, lo: int, hi: int) -> Fraction:
-        # in integers over one denominator: 1 - q0 t0^j = (qd td^j - qn tn^j) / (qd td^j)
-        num = prod((qd * td**j - qn * tn**j for j in range(lo + 1, hi + 1)), start=(td - tn) ** a)
-        return Fraction(num, qd ** (hi - lo) * td ** (a + sum(range(lo + 1, hi + 1))))
+    def value_of(coeff) -> tuple[int, int]:  # c q^i t^j = c Q^i T^j L^(D-i-j) / L^D, D = deg_q + deg_t
+        v, dq, dt = coeff.scaled_value(Q, L, T, L)
+        return v, dq + dt
 
-    def divide(value: Fraction, lo: int, hi: int) -> Fraction:
-        if not factor(0, lo, hi):  # RatFunc.evaluate's error
+    def term(coeff, exps) -> _Scaled:
+        v, k = value_of(coeff)
+        # exponents are never negative (x_last cancels x_d or an x_i^2)
+        for x, e in zip(X, exps):
+            if e:
+                v *= x**e
+                k += e
+        return _Scaled(v, k, power)
+
+    @lru_cache(maxsize=None)
+    def factor(a: int, lo: int, hi: int) -> _Scaled:
+        # 1 - t0 = (L - T) / L and 1 - q0 t0^j = (L^(j+1) - Q T^j) / L^(j+1)
+        js = range(lo + 1, hi + 1)
+        return _Scaled(prod((power(j + 1) - Q * T**j for j in js), start=(L - T) ** a), a + sum(js) + len(js), power)
+
+    def divide(value: _Scaled, lo: int, hi: int) -> Fraction:
+        den = factor(0, lo, hi)
+        if not den.v:  # RatFunc.evaluate's error
             raise PoleError(f"denominator vanishes at q={q0}, t={t0}")
-        return value / factor(0, lo, hi)
+        d = den.k - value.k
+        return Fraction(value.v * power(d), den.v) if d >= 0 else Fraction(value.v, den.v * power(-d))
 
     return Ring(term, factor, divide)
 

@@ -12,6 +12,8 @@ from crtasep.combinatorics import Word
 from crtasep.errors import DivergenceError, PoleError, RelationViolation
 from crtasep.oracles.matrices import (
     MAX_SIZE,
+    REL_TOL,
+    START_SIZE,
     _assert_equal_interior,
     banded_matrix,
     banded_mul,
@@ -80,6 +82,21 @@ def test_point_paths_at_signed_and_zero_points():
             mu, point = Word(letters), (q0, t0, xs[:n])
             assert tab_qtx_eval(mu, *point) == tab_qtx(mu).evaluate(*point), mu
             assert trace_rec_eval(mu, *point) == trace_by_recurrence(mu).evaluate(*point), mu
+
+
+def test_point_paths_at_awkward_points():
+    # distinct prime denominators make the point ring's common denominator
+    # L a large product, so values over different powers of L meet in every
+    # sum; a float point has a power-of-2 L
+    q0, t0 = Fraction(-7, 11), Fraction(13, 17)
+    primes = (Fraction(5, 101), Fraction(-8, 103), Fraction(12, 107), Fraction(9, 109))
+    with_zero = (Fraction(5, 101), Fraction(0), Fraction(-12, 107), Fraction(9, 109))
+    points = ((q0, t0, primes), (q0, t0, with_zero), (0.3, 0.7, (1.1, -0.4, 0.0, 2.5)))
+    for mu in _small_words():
+        for q, t, xs in points:
+            point = (q, t, xs[: mu.n])
+            assert tab_qtx_eval(mu, *point) == tab_qtx(mu).evaluate(*point), (mu, point)
+            assert trace_rec_eval(mu, *point) == trace_by_recurrence(mu).evaluate(*point), (mu, point)
 
 
 def _small_words():
@@ -358,25 +375,43 @@ def test_product_trace_matches_dense_product():
 
 
 def _unpruned_trace(mu, q0, t0, xs, size):
-    """The trace of the full banded product, every diagonal of every factor kept."""
+    """The trace of the full banded product, every diagonal of every factor
+    kept, its nonzero diagonal entries added left to right."""
     kinds = ("A0", "A1", "A2")
     mats = [banded_matrix(kinds[a], x, size, q=q0, t=t0) for a, x in zip(mu.letters, xs)]
     prod = mats[0]
     for m in mats[1:] + [banded_matrix("S", None, size, q=q0, t=t0)]:
         prod = banded_mul(prod, m)
-    return sum(v for v in prod[0] if v)
+    total = 0
+    for v in prod[0]:
+        if v:
+            total += v
+    return total
 
 
-def test_pruned_product_trace_is_bit_identical():
+def _doubled_unpruned_trace(mu, q0, t0, xs):
+    """truncated_trace's adaptive loop over ``_unpruned_trace``."""
+    fq, ft, fxs = float(q0), float(t0), tuple(float(x) for x in xs)
+    previous, size = None, START_SIZE
+    while size <= MAX_SIZE:
+        value = _unpruned_trace(mu, fq, ft, fxs, size)
+        if previous is not None and abs(value - previous) <= REL_TOL * max(1.0, abs(value)):
+            return value
+        previous, size = value, size * 2
+    raise AssertionError(f"no convergence for {mu}")
+
+
+def test_factorwise_product_trace_is_the_banded_definition():
+    # each factor applied in place equals banded_mul by its banded_matrix,
+    # bit for bit and type for type, exact (negative x) and in floats
     q0, t0 = Fraction(2, 7), Fraction(3, 5)
     xs = (Fraction(-5, 3), Fraction(1, 2), Fraction(7, 4), Fraction(-2, 9), Fraction(3, 2))
     fq, ft, fxs = float(q0), float(t0), tuple(float(x) for x in xs)
     for n in range(1, 6):
         for letters in itertools.product((0, 1, 2), repeat=n):
             mu = Word(letters)
-            for size in (1, 2, 7):
-                want = _unpruned_trace(mu, q0, t0, xs[:n], size)
-                assert product_trace(mu, q0, t0, xs[:n], size) == want, (letters, size)
-            for size in (64, 128):
-                got = product_trace(mu, fq, ft, fxs[:n], size)
-                assert got == _unpruned_trace(mu, fq, ft, fxs[:n], size), (letters, size)
+            for point, sizes in (((q0, t0, xs[:n]), (1, 2, 3, 7)), ((fq, ft, fxs[:n]), (64, 128, 256))):
+                for size in sizes:
+                    got, want = product_trace(mu, *point, size), _unpruned_trace(mu, *point, size)
+                    assert (got, type(got)) == (want, type(want)), (letters, size)
+            assert truncated_trace(mu, q0, t0, xs[:n]) == _doubled_unpruned_trace(mu, q0, t0, xs[:n]), letters

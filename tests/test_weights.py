@@ -197,11 +197,12 @@ coefficients = st.dictionaries(
 @settings(max_examples=50, deadline=None)
 @given(coefficients, st.fractions(min_value=-2, max_value=2, max_denominator=7), st.fractions(max_denominator=7))
 def test_point_ring_caches_the_value_of_each_coefficient(coeff, q0, t0):
-    term = point_ring(q0, t0, (Fraction(3, 2), Fraction(-2)), 2).term
+    ring = point_ring(q0, t0, (Fraction(3, 2), Fraction(-2)), 2)
+    value = lambda exps: ring.divide(ring.term(coeff, exps), 0, 0)  # over an empty bracket product
     want = coeff.evaluate(q0, t0)
-    assert term(coeff, (0, 0)) == want
-    assert term(coeff, (2, 1)) == want * Fraction(9, 4) * -2  # from the cache
-    assert term(coeff, (0, 0)) == want
+    assert value((0, 0)) == want
+    assert value((2, 1)) == want * Fraction(9, 4) * -2  # from the cache
+    assert value((0, 0)) == want
 
 
 def test_partition_function_values():
