@@ -1,4 +1,5 @@
-"""Exact arithmetic: integer polynomials in q,t, the field Q(q,t), x-polynomials over it, and q,t-brackets."""
+"""Exact arithmetic: integer polynomials in q,t, the field Q(q,t), x-polynomials over it, and q,t-brackets;
+``algebra.rings`` holds the coefficient rings that the tableau sums and the trace recurrence run in."""
 
 from .poly import MultiPoly, poly_divexact, poly_gcd
 from .qtx import (

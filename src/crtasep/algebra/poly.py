@@ -136,8 +136,9 @@ class MultiPoly(Arithmetic):
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+        if self._hash is None:  # a constant as its int, as the RatFunc equal to it
+            const = self.terms.keys() <= {(0, 0)}
+            self._hash = hash(self.terms.get((0, 0), 0) if const else frozenset(self.terms.items()))
         return self._hash
 
     # -- arithmetic ---------------------------------------------------

@@ -117,7 +117,8 @@ class QtxExpr(Arithmetic):
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+        # free of x: as the RatFunc equal to it
+        return hash(self.as_ratfunc() if self.coeffs.keys() <= {()} else frozenset(self.coeffs.items()))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -458,12 +459,19 @@ def to_json_dict(e: QtxExpr, nvars: int | None = None) -> dict:
 
 def from_json_dict(doc: dict) -> QtxExpr:
     """Read the JSON form.  A repeated monomial, in x or in one polynomial's
-    (q, t), or a negative exponent raises ValueError."""
+    (q, t), a negative exponent, an nvars below the support or a zero
+    denominator raises ValueError."""
     coeffs = {}
     for term in doc["terms"]:
         xs = _checked(_trim(int(a) for a in term["x"]), coeffs, "x exponents")
-        coeffs[xs] = RatFunc(_poly_from_json(term["num"]), _poly_from_json(term["den"]))
-    return QtxExpr(coeffs)
+        den = _poly_from_json(term["den"])
+        if den.is_zero():
+            raise ValueError(f"zero denominator at x exponents {list(xs)}")
+        coeffs[xs] = RatFunc(_poly_from_json(term["num"]), den)
+    out = QtxExpr(coeffs)
+    if out.nvars > int(doc["nvars"]):  # as to_json_dict refuses to write
+        raise ValueError("nvars smaller than the expression's support")
+    return out
 
 
 def to_json(e: QtxExpr, nvars: int | None = None) -> str:

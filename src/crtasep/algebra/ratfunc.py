@@ -89,7 +89,11 @@ class RatFunc(Arithmetic):
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        # as the MultiPoly or the Fraction equal to it, if there is one
+        if self.den.is_one():
+            return hash(self.num)
+        a, b = self.num.terms, self.den.terms
+        return hash(Fraction(a[0, 0], b[0, 0]) if a.keys() == b.keys() == {(0, 0)} else (self.num, self.den))
 
     # -- field arithmetic ----------------------------------------------
 

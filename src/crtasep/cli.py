@@ -15,9 +15,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra.qtx import QtxExpr, canonical_string, ratfunc_string, to_json_dict
+from .algebra.qtx import QtxExpr, canonical_string, ratfunc_string, to_json
 from .combinatorics import Word, count_states, enumerate_states
-from .errors import DivergenceError, NoConvergence, NotAPartition, PoleError
+from .errors import DivergenceError, NoConvergence, PoleError
 from .oracles.matrices import MAX_SIZE, truncated_trace
 from .oracles.recurrence import trace_by_recurrence
 from .queues import enumerate_queues
@@ -35,10 +35,6 @@ from .weights import (
 # 0.55 n of them), and states prints one line per word.
 MAX_PARTITION_N = 100_000
 MAX_STATES = 10**6
-
-
-def _word(text: str) -> Word:
-    return Word.from_string(text)
 
 
 def _rational(text: str) -> Fraction:
@@ -120,17 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_expr(expr: QtxExpr, as_json: bool, nvars: int | None = None) -> None:
-    if as_json:
-        print(json.dumps(to_json_dict(expr, nvars), separators=(",", ":")))
-    else:
-        print(canonical_string(expr))
+    print(to_json(expr, nvars) if as_json else canonical_string(expr))
 
 
 def _emit_ratfunc(value, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(to_json_dict(QtxExpr.from_ratfunc(value), 0), separators=(",", ":")))
-    else:
-        print(ratfunc_string(value))
+    print(to_json(QtxExpr.from_ratfunc(value), 0) if as_json else ratfunc_string(value))
 
 
 def main(argv=None) -> int:
@@ -161,7 +151,7 @@ def _main(argv) -> int:
     except RecursionError:
         print("error: word too long for the recurrence", file=sys.stderr)
         return 3
-    except (NotAPartition, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -181,16 +171,17 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "tab-t":
-        _emit_ratfunc(tab_t(_word(args.word)), args.json)
+        _emit_ratfunc(tab_t(Word.from_string(args.word)), args.json)
         return 0
 
-    if cmd == "tab-qtx":
-        mu = _word(args.word)
-        _emit_expr(tab_qtx(mu), args.json, mu.n)
+    compute = {"tab-qtx": tab_qtx, "macdonald-e": macdonald_E, "macdonald-p": macdonald_P}.get(cmd)
+    if compute is not None:  # one x-expression of a word
+        mu = Word.from_string(args.word)
+        _emit_expr(compute(mu), args.json, mu.n)
         return 0
 
     if cmd == "prob":
-        mu = _word(args.word)
+        mu = Word.from_string(args.word)
         if args.at_t is not None and args.json:
             raise ValueError("--at-t prints a plain rational; it takes no --json")
         value = stationary_prob(mu)
@@ -206,18 +197,8 @@ def _dispatch(args) -> int:
         _emit_ratfunc(partition_function(args.k, args.r, args.l), args.json)
         return 0
 
-    if cmd == "macdonald-e":
-        lam = _word(args.word)
-        _emit_expr(macdonald_E(lam), args.json, lam.n)
-        return 0
-
-    if cmd == "macdonald-p":
-        lam = _word(args.word)
-        _emit_expr(macdonald_P(lam), args.json, lam.n)
-        return 0
-
     if cmd == "queues":
-        mu = _word(args.word)
+        mu = Word.from_string(args.word)
         queues = enumerate_queues(mu)
         docs = [queue.to_json_dict() for queue in queues]
         if args.json:
@@ -228,7 +209,7 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "trace":
-        mu = _word(args.word)
+        mu = Word.from_string(args.word)
         if args.numeric is None:
             if args.trunc is not None or args.x is not None:
                 raise ValueError("--trunc and --x need --numeric Q0 T0")

@@ -9,7 +9,7 @@ from .matrices import (
     product_trace,
     truncated_trace,
 )
-from .recurrence import f_mu, trace_by_recurrence, trace_rec_eval
+from .recurrence import f_mu, omega, trace_by_recurrence, trace_rec_eval
 
 __all__ = [
     "TransitionMatrix",
@@ -18,6 +18,7 @@ __all__ = [
     "check_ansatz_relations",
     "check_matrix_relations",
     "f_mu",
+    "omega",
     "product_trace",
     "steady_state",
     "trace_by_recurrence",

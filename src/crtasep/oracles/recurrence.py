@@ -13,13 +13,14 @@ integral N(w) = (1 - q t^r) tr(w) prod_{r<j<=rl(w)} (1 - q t^j), the sum of
 (1 - q t^j) without holes; each entry divides once by prod_{r<=j<=r+l}.
 
 The recurrence is written once, over a coefficient ``Ring`` from
-``weights``: ``SYMBOLIC`` gives the trace in Q(q,t)[x], ``point_ring`` its
-value at one exact point.  Each I gives one term per last deleted position,
+``algebra.rings``: ``SYMBOLIC`` gives the trace in Q(q,t)[x], ``point_ring``
+its value at one exact point.  Each I gives one term per last deleted position,
 its orders' q^rec t^dis as one polynomial from ``combinatorics.reading_stats``,
 the tableau kernel's table; sums start from their first term, in the ring.
 Each top-level call has its own memo, freed on return: one memo shared over
 a ``verify recurrence`` sweep gained little time (n = 7: 18.1 s vs 21.2 s)
-for three times the peak (80 MB vs 27 MB).
+for three times the peak (80 MB vs 27 MB).  ``omega`` normalises the trace
+in ``f_mu``.  Like every oracle, this reads nothing of ``weights``.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from ..algebra import MultiPoly, QtxExpr
+from ..algebra import MultiPoly, QtxExpr, RatFunc
+from ..algebra.rings import SYMBOLIC, Ring, point_ring
 from ..combinatorics import Word, reading_stats
-from ..weights import SYMBOLIC, Ring, omega, point_ring
 
 Labeled = tuple[tuple[int, int], ...]  # ((label, letter), ...)
 
@@ -94,6 +95,23 @@ def _trace(labeled: Labeled, strategy: str, ring: Ring, memo: dict):
             total = v if total is None else total + v
     memo[labeled] = total
     return total
+
+
+def omega(lam: Word) -> RatFunc:
+    """The scalar attached to a partition: the product over 1 <= i < j <= s
+    of (1 - q^(j-i) t^(conj_i - conj_j)), s the largest part; empty product
+    1 when s <= 1."""
+    lam.require_partition()
+    parts = lam.letters
+    s = parts[0] if parts else 0
+    conj = [sum(1 for a in parts if a >= i) for i in range(1, s + 1)]
+    out = RatFunc.one()
+    for i in range(1, s + 1):
+        for j in range(i + 1, s + 1):
+            out = out * RatFunc(
+                MultiPoly.one() - MultiPoly.q(j - i) * MultiPoly.t(conj[i - 1] - conj[j - 1])
+            )
+    return out
 
 
 def f_mu(mu: Word) -> QtxExpr:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .algebra.poly import MultiPoly
 from .algebra.qtx import QtxExpr
-from .algebra.ratfunc import RatFunc
+from .algebra.ratfunc import RatFunc, qt_factor
 from .combinatorics import ArrowOrdering, Tableau, Word, build_diagram
 from .errors import InvalidQueue
 
@@ -138,25 +138,19 @@ def _traverse(queue: TwoLineQueue) -> list[tuple[int, int, int, int]]:
 def queue_weight(queue: TwoLineQueue) -> QtxExpr:
     """x per ball, times q^{wrap} t^{skipped} / [free] per traversal edge."""
     queue.validate()
-    total_q = total_t = 0
-    edges = 0
-    den = MultiPoly.one()
-    one_minus_t = MultiPoly.one() - MultiPoly.t()
-    for i, j, skipped, free in _traverse(queue):
-        if i > j:
-            total_q += 1
+    total_q = total_t = edges = 0
+    for i, j, skipped, _ in _traverse(queue):
+        total_q += i > j
         total_t += skipped
         edges += 1
-        den = den * (MultiPoly.one() - MultiPoly.q() * MultiPoly.t(free))
     exps = [0] * queue.n
-    for c in queue.top:
+    for c in itertools.chain(queue.top, queue.bottom):
         exps[c - 1] += 1
-    for c in queue.bottom:
-        exps[c - 1] += 1
-    # q^a t^b (1-t)^e and prod (1 - q t^f) share no factors
-    num = MultiPoly.monomial(total_q, total_t) * one_minus_t**edges
-    coeff = RatFunc._reduced(num, den)
-    return QtxExpr.x_monomial(exps, coeff)
+    # free is r+l, r+l-1, ... along the E edges: the brackets make [r+l-E]!/[r+l]!,
+    # and q^a t^b (1-t)^E shares no factor with its denominator
+    rl = len(queue.bottom)
+    num = MultiPoly.monomial(total_q, total_t) * qt_factor(edges, 0, 0)
+    return QtxExpr.x_monomial(exps, RatFunc._reduced(num, qt_factor(0, rl - edges, rl)))
 
 
 def crt_to_queue(tableau: Tableau, ordering: ArrowOrdering) -> TwoLineQueue:

@@ -15,18 +15,10 @@ divides once.  P_lambda runs the DP once per word of its sector (all share
 r+l) into one map a -> body.  The partition function needs no tableaux: it
 is the product C(n, r+l) C(n, l).
 
-The values live in a small coefficient ``Ring``: ``term`` takes G's Z[q, t]
-polynomial and an x-monomial; ``factor`` is (1-t)^a times a range of
-brackets 1 - q t^j; ``divide`` makes the answer.  Each ring maps a polynomial
-once: ``SYMBOLIC`` keeps it (one ``RatFunc``, so one gcd, per x-monomial of
-Tab_qtx), ``T_ONLY`` sets q = 1 through one cache (Tab_t is one ``RatFunc``)
-and ``point_ring`` values it once, as an int over a power of the point's
-common denominator, up to one ``Fraction`` (a zero denominator: ``PoleError``).
-Every sum starts from its first term and stays in the ring up to the one
-division; the stationary law's Z, an integer, joins that division.  The
-trace recurrence in ``oracles.recurrence`` uses ``SYMBOLIC`` and
-``point_ring``.  ``wt_qtx`` and ``wt_t``, the weights of one tableau, are no
-DP: they follow the definition, a sum over the orderings.
+The sums run in the rings of ``algebra.rings`` from their first term to
+one division, which the stationary law's integer Z joins.  ``wt_qtx`` and
+``wt_t`` follow the definition, a sum over the orderings.  This module holds
+the tableau sums alone: it imports no oracle, and no oracle imports it.
 """
 
 from __future__ import annotations
@@ -34,13 +26,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, lcm, prod
+from math import comb
 from operator import add
-from typing import Callable, NamedTuple
 
 from .algebra.poly import MultiPoly
 from .algebra.qtx import QtxExpr
-from .algebra.ratfunc import RatFunc, qt_factor, qt_factorial_ratio
+from .algebra.ratfunc import RatFunc, qt_factorial_ratio
+from .algebra.rings import SYMBOLIC, T_ONLY, Ring, point_ring
 from .combinatorics import (
     ArrowOrdering,
     Diagram,
@@ -54,91 +46,6 @@ from .combinatorics import (
     recoils,
     row_reading,
 )
-from .errors import PoleError
-
-
-class Ring(NamedTuple):
-    """The coefficient ring of a tableau or trace sum; ``divide`` runs once per sum."""
-
-    term: Callable  # (coefficient in Z[q, t], x_exponents) -> coefficient x^x_exponents
-    factor: Callable  # (a, lo, hi) -> qt_factor(a, lo, hi) = (1 - t)^a prod_{lo<j<=hi} (1 - q t^j)
-    divide: Callable  # (value, lo, hi) -> value / qt_factor(0, lo, hi), in the ring of the answer
-
-
-SYMBOLIC = Ring(
-    lambda coeff, exps: QtxExpr.x_monomial(exps, coeff),
-    lambda a, lo, hi: QtxExpr.x_monomial((), qt_factor(a, lo, hi)),
-    lambda value, lo, hi: QtxExpr({xs: RatFunc(c, qt_factor(0, lo, hi)) for xs, c in value.coeffs.items()}),
-)
-# keys: G's interned polynomials and qt_factor's values (23 in a law-sweep pass)
-_at_q1 = lru_cache(maxsize=4096)(lambda p: p.subs_q(1))
-T_ONLY = Ring(
-    lambda coeff, exps: _at_q1(coeff),
-    lambda a, lo, hi: _at_q1(qt_factor(a, lo, hi)),
-    lambda value, lo, hi: RatFunc(value, _at_q1(qt_factor(0, lo, hi))),
-)
-
-
-class _Scaled:
-    """A point ring's value v / L^k, L the ring's common denominator, as two
-    ints; ``power`` is the ring's table d -> L^d.  ``+`` brings both to the
-    larger k, ``*`` adds the k's."""
-
-    __slots__ = ("v", "k", "power")
-
-    def __init__(self, v: int, k: int, power: Callable[[int], int]):
-        self.v, self.k, self.power = v, k, power
-
-    def __add__(self, other: _Scaled) -> _Scaled:
-        hi, lo = (self, other) if self.k >= other.k else (other, self)
-        return _Scaled(hi.v + lo.v * self.power(hi.k - lo.k), hi.k, self.power)
-
-    def __mul__(self, other: _Scaled) -> _Scaled:
-        return _Scaled(self.v * other.v, self.k + other.k, self.power)
-
-
-def point_ring(q0, t0, xs, n: int) -> Ring:
-    """The values at q = q0, t = t0 and the n values x = xs, exact.  With L
-    the lcm of their denominators, Q = q0 L, T = t0 L and X_i = x_i L are
-    ints, and every value up to ``divide`` is an int over a power of L."""
-    q0, t0 = Fraction(q0), Fraction(t0)
-    xs = tuple(Fraction(v) for v in xs)
-    if len(xs) != n:
-        raise ValueError(f"need {n} x-values")
-    L = lcm(q0.denominator, t0.denominator, *(x.denominator for x in xs))
-    Q, T, *X = (v.numerator * (L // v.denominator) for v in (q0, t0, *xs))
-    # the powers of L, each coefficient's value and each factor are made
-    # once; the caches are freed with the ring
-    power = lru_cache(maxsize=None)(L.__pow__)
-
-    @lru_cache(maxsize=None)
-    def value_of(coeff) -> tuple[int, int]:  # c q^i t^j = c Q^i T^j L^(D-i-j) / L^D, D = deg_q + deg_t
-        v, dq, dt = coeff.scaled_value(Q, L, T, L)
-        return v, dq + dt
-
-    def term(coeff, exps) -> _Scaled:
-        v, k = value_of(coeff)
-        # exponents are never negative (x_last cancels x_d or an x_i^2)
-        for x, e in zip(X, exps):
-            if e:
-                v *= x**e
-                k += e
-        return _Scaled(v, k, power)
-
-    @lru_cache(maxsize=None)
-    def factor(a: int, lo: int, hi: int) -> _Scaled:
-        # 1 - t0 = (L - T) / L and 1 - q0 t0^j = (L^(j+1) - Q T^j) / L^(j+1)
-        js = range(lo + 1, hi + 1)
-        return _Scaled(prod((power(j + 1) - Q * T**j for j in js), start=(L - T) ** a), a + sum(js) + len(js), power)
-
-    def divide(value: _Scaled, lo: int, hi: int) -> Fraction:
-        den = factor(0, lo, hi)
-        if not den.v:  # RatFunc.evaluate's error
-            raise PoleError(f"denominator vanishes at q={q0}, t={t0}")
-        d = den.k - value.k
-        return Fraction(value.v * power(d), den.v) if d >= 0 else Fraction(value.v, den.v * power(-d))
-
-    return Ring(term, factor, divide)
 
 
 def _fixed_exps(diagram: Diagram, used) -> list[int]:
@@ -278,23 +185,6 @@ def stationary_prob(mu: Word) -> RatFunc:
 
 
 # -- Macdonald polynomials ---------------------------------------------------
-
-
-def omega(lam: Word) -> RatFunc:
-    """The scalar attached to a partition: the product over 1 <= i < j <= s
-    of (1 - q^(j-i) t^(conj_i - conj_j)), s the largest part; empty product
-    1 when s <= 1."""
-    lam.require_partition()
-    parts = lam.letters
-    s = parts[0] if parts else 0
-    conj = [sum(1 for a in parts if a >= i) for i in range(1, s + 1)]
-    out = RatFunc.one()
-    for i in range(1, s + 1):
-        for j in range(i + 1, s + 1):
-            out = out * RatFunc(
-                MultiPoly.one() - MultiPoly.q(j - i) * MultiPoly.t(conj[i - 1] - conj[j - 1])
-            )
-    return out
 
 
 def macdonald_E(lam: Word) -> QtxExpr:

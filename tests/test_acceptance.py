@@ -28,12 +28,11 @@ from crtasep.combinatorics import (
 )
 from crtasep.oracles.markov import build_transition_matrix, steady_state
 from crtasep.oracles.matrices import check_ansatz_relations, check_matrix_relations, truncated_trace
-from crtasep.oracles.recurrence import trace_rec_eval, trace_by_recurrence
+from crtasep.oracles.recurrence import omega, trace_rec_eval, trace_by_recurrence
 from crtasep.queues import TwoLineQueue, crt_to_queue, enumerate_queues, queue_to_crt, queue_weight
 from crtasep.weights import (
     macdonald_E,
     macdonald_P,
-    omega,
     stationary_prob,
     tab_qtx,
     tab_qtx_eval,

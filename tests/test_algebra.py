@@ -292,6 +292,38 @@ def test_canonical_equality_is_cross_multiplication(a, b):
     assert (a == b) == (a.num * b.den == b.num * a.den)
 
 
+def _every_type_of(e: QtxExpr) -> list:
+    """e as each of QtxExpr, RatFunc, MultiPoly, Fraction and int that holds it."""
+    out = [e]
+    if e.nvars == 0:
+        r = e.as_ratfunc()
+        out.append(r)
+        if r.is_poly():
+            out.append(r.num)
+        if r.num.terms.keys() <= {(0, 0)} and r.den.terms.keys() == {(0, 0)}:
+            c = Fraction(r.num.terms.get((0, 0), 0), r.den.terms[0, 0])
+            out += [c, int(c)] if c.denominator == 1 else [c]
+    return out
+
+
+field_elements = st.one_of(
+    st.fractions(min_value=-2, max_value=2, max_denominator=2).map(RatFunc.const),
+    qt_polys(max_terms=2, max_exp=1).map(RatFunc),
+    ratfuncs(),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(field_elements.map(QtxExpr.from_ratfunc) | qtx_exprs(nvars=2), min_size=1, max_size=3))
+@example([parse("1"), parse("0"), parse("q"), parse("1/2"), parse("x1")])
+def test_equal_values_hash_alike(exprs):
+    values = [v for e in exprs for v in _every_type_of(e)]
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+
+
 def test_canonical_sign_convention():
     r = RatFunc(MultiPoly.one(), MultiPoly.one() - T())
     # denominator leading coefficient (graded lex) is positive: t - 1
@@ -464,6 +496,21 @@ def test_from_json_rejects_a_negative_exponent():
         from_json(_json_doc(([1], [["1", -1, 0]])))
     with pytest.raises(ValueError, match="negative"):
         from_json(_json_doc(([1], [["1", 0, -2]])))
+
+
+def test_from_json_rejects_an_x_past_nvars():
+    doc = {"nvars": 0, "terms": [{"x": [1], "num": [["1", 0, 0]], "den": [["1", 0, 0]]}]}
+    with pytest.raises(ValueError, match="nvars"):
+        from_json(json.dumps(doc))
+    doc["terms"][0]["x"] = [0, 0]  # trailing zeros are no support
+    assert from_json(json.dumps(doc)) == QtxExpr.one()
+
+
+def test_from_json_rejects_a_zero_denominator():
+    for den in ([], [["0", 0, 0]]):
+        doc = {"nvars": 1, "terms": [{"x": [1], "num": [["1", 0, 0]], "den": den}]}
+        with pytest.raises(ValueError, match="zero denominator"):
+            from_json(json.dumps(doc))
 
 
 def test_swap_x():

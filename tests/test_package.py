@@ -42,3 +42,14 @@ def test_low_layers_import_only_lower_layers():
         outside = {m for m in crtasep_imports(path) if not m.startswith("crtasep.algebra.")}
         assert outside <= {"crtasep.errors"}, (path.name, outside)
     assert crtasep_imports(SRC / "crtasep" / "combinatorics.py") <= {"crtasep.algebra.poly", "crtasep.errors"}
+
+
+def test_oracles_and_tableau_sums_meet_only_in_verify():
+    # the oracles check the tableau sums, so neither side reads the other
+    oracles = SRC / "crtasep" / "oracles"
+    below = ("crtasep.algebra", "crtasep.combinatorics", "crtasep.errors", "crtasep.oracles.")
+    for path in sorted(oracles.glob("*.py")):
+        outside = {m for m in crtasep_imports(path) if not m.startswith(below)}
+        assert outside == set(), (path.name, outside)
+    weights = crtasep_imports(SRC / "crtasep" / "weights.py")
+    assert {m for m in weights if m == "crtasep" or m.startswith("crtasep.oracles")} == set()

@@ -23,8 +23,8 @@ from crtasep.oracles.matrices import (
     truncated_trace,
 )
 from crtasep.oracles import recurrence
-from crtasep.oracles.recurrence import f_mu, trace_by_recurrence, trace_rec_eval
-from crtasep.weights import macdonald_E, macdonald_P, omega, stationary_prob, tab_qtx, tab_qtx_eval, tab_t
+from crtasep.oracles.recurrence import f_mu, omega, trace_by_recurrence, trace_rec_eval
+from crtasep.weights import macdonald_E, macdonald_P, stationary_prob, tab_qtx, tab_qtx_eval, tab_t
 
 W = Word.from_string
 

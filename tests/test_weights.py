@@ -24,6 +24,7 @@ from crtasep.algebra import (
     t_bracket,
     t_factorial_ratio,
 )
+from crtasep.algebra.rings import point_ring
 from crtasep import combinatorics
 from crtasep.combinatorics import (
     ArrowOrdering,
@@ -35,13 +36,11 @@ from crtasep.combinatorics import (
     enumerate_tableaux,
 )
 from crtasep.errors import NotAPartition
-from crtasep.oracles.recurrence import f_mu, trace_by_recurrence, trace_rec_eval
+from crtasep.oracles.recurrence import f_mu, omega, trace_by_recurrence, trace_rec_eval
 from crtasep.weights import (
     macdonald_E,
     macdonald_P,
-    omega,
     partition_function,
-    point_ring,
     stationary_prob,
     tab_qtx,
     tab_qtx_eval,
