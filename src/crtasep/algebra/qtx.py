@@ -457,19 +457,26 @@ def to_json_dict(e: QtxExpr, nvars: int | None = None) -> dict:
     return {"nvars": n, "terms": terms}
 
 
+def _field(obj, key: str, kind: type, what: str):
+    """obj[key], if obj is a JSON object whose key holds a kind."""
+    if not (isinstance(obj, dict) and isinstance(obj.get(key), kind)):
+        raise ValueError(f"{what} needs {key!r} ({kind.__name__})")
+    return obj[key]
+
+
 def from_json_dict(doc: dict) -> QtxExpr:
-    """Read the JSON form.  A repeated monomial, in x or in one polynomial's
-    (q, t), a negative exponent, an nvars below the support or a zero
-    denominator raises ValueError."""
+    """Read the JSON form.  A missing or mistyped field, a repeated monomial,
+    in x or in one polynomial's (q, t), a negative exponent, an nvars below
+    the support or a zero denominator raises ValueError."""
     coeffs = {}
-    for term in doc["terms"]:
-        xs = _checked(_trim(int(a) for a in term["x"]), coeffs, "x exponents")
-        den = _poly_from_json(term["den"])
+    for term in _field(doc, "terms", list, "document"):
+        xs = _checked(_trim(int(a) for a in _field(term, "x", list, "term")), coeffs, "x exponents")
+        den = _poly_from_json(_field(term, "den", list, "term"))
         if den.is_zero():
             raise ValueError(f"zero denominator at x exponents {list(xs)}")
-        coeffs[xs] = RatFunc(_poly_from_json(term["num"]), den)
+        coeffs[xs] = RatFunc(_poly_from_json(_field(term, "num", list, "term")), den)
     out = QtxExpr(coeffs)
-    if out.nvars > int(doc["nvars"]):  # as to_json_dict refuses to write
+    if out.nvars > _field(doc, "nvars", int, "document"):  # as to_json_dict refuses to write
         raise ValueError("nvars smaller than the expression's support")
     return out
 

@@ -40,6 +40,19 @@ T_ONLY = Ring(
 )
 
 
+class _Table(dict):
+    """A memo freed with its owner: a missing key is made by ``make`` and kept."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class _Scaled:
     """A point ring's value v / L^k, L the ring's common denominator, as two
     ints; ``power`` is the ring's table d -> L^d.  ``+`` brings both to the
@@ -47,12 +60,12 @@ class _Scaled:
 
     __slots__ = ("v", "k", "power")
 
-    def __init__(self, v: int, k: int, power: Callable[[int], int]):
+    def __init__(self, v: int, k: int, power: _Table):
         self.v, self.k, self.power = v, k, power
 
     def __add__(self, other: _Scaled) -> _Scaled:
         hi, lo = (self, other) if self.k >= other.k else (other, self)
-        return _Scaled(hi.v + lo.v * self.power(hi.k - lo.k), hi.k, self.power)
+        return _Scaled(hi.v + lo.v * self.power[hi.k - lo.k], hi.k, self.power)
 
     def __mul__(self, other: _Scaled) -> _Scaled:
         return _Scaled(self.v * other.v, self.k + other.k, self.power)
@@ -69,16 +82,13 @@ def point_ring(q0, t0, xs, n: int) -> Ring:
     L = lcm(q0.denominator, t0.denominator, *(x.denominator for x in xs))
     Q, T, *X = (v.numerator * (L // v.denominator) for v in (q0, t0, *xs))
     # the powers of L, each coefficient's value and each factor are made
-    # once; the caches are freed with the ring
-    power = lru_cache(maxsize=None)(L.__pow__)
-
-    @lru_cache(maxsize=None)
-    def value_of(coeff) -> tuple[int, int]:  # c q^i t^j = c Q^i T^j L^(D-i-j) / L^D, D = deg_q + deg_t
-        v, dq, dt = coeff.scaled_value(Q, L, T, L)
-        return v, dq + dt
+    # once, in tables freed with the ring
+    power = _Table(L.__pow__)
+    values = _Table(lambda coeff: coeff.scaled_value(Q, L, T, L))
 
     def term(coeff, exps) -> _Scaled:
-        v, k = value_of(coeff)
+        v, dq, dt = values[coeff]  # c q^i t^j = c Q^i T^j L^(D-i-j) / L^D, D = dq + dt
+        k = dq + dt
         # exponents are never negative (x_last cancels x_d or an x_i^2)
         for x, e in zip(X, exps):
             if e:
@@ -86,17 +96,19 @@ def point_ring(q0, t0, xs, n: int) -> Ring:
                 k += e
         return _Scaled(v, k, power)
 
-    @lru_cache(maxsize=None)
-    def factor(a: int, lo: int, hi: int) -> _Scaled:
+    def make_factor(key: tuple[int, int, int]) -> _Scaled:
         # 1 - t0 = (L - T) / L and 1 - q0 t0^j = (L^(j+1) - Q T^j) / L^(j+1)
+        a, lo, hi = key
         js = range(lo + 1, hi + 1)
-        return _Scaled(prod((power(j + 1) - Q * T**j for j in js), start=(L - T) ** a), a + sum(js) + len(js), power)
+        return _Scaled(prod((power[j + 1] - Q * T**j for j in js), start=(L - T) ** a), a + sum(js) + len(js), power)
+
+    factors = _Table(make_factor)
 
     def divide(value: _Scaled, lo: int, hi: int) -> Fraction:
-        den = factor(0, lo, hi)
+        den = factors[0, lo, hi]
         if not den.v:  # RatFunc.evaluate's error
             raise PoleError(f"denominator vanishes at q={q0}, t={t0}")
         d = den.k - value.k
-        return Fraction(value.v * power(d), den.v) if d >= 0 else Fraction(value.v, den.v * power(-d))
+        return Fraction(value.v * power[d], den.v) if d >= 0 else Fraction(value.v, den.v * power[-d])
 
-    return Ring(term, factor, divide)
+    return Ring(term, lambda *key: factors[key], divide)

@@ -15,7 +15,14 @@ applies each factor to the product's diagonals directly.  A0 moves a
 diagonal up by 1, A2 down by 1, A1 and S not at all, so after each factor it
 computes only the diagonals d with -(A0s left) <= d <= (A2s left), the ones
 that can still reach diagonal 0; each gets the terms of the full
-``banded_mul`` product, at most two, whose float sum is order-free.  A
+``banded_mul`` product, at most two, whose float sum is order-free.
+
+Rows are independent: row i of the product depends on row i alone, and
+its column never passes i + #A0, #A0 the number of 0s in the word.  So rows
+below N - #A0 are exact, the same values from the same operations as in
+every larger truncation, and ``truncated_trace``, doubling N from
+``START_SIZE``, carries their running trace sum over: a trace that stops at
+N computes N + #A0 (doublings - 1) rows, not 2N - ``START_SIZE``.  A
 truncation to N rows is exact on entries (i, j) with i, j <= N-2 for a
 product of two bands, which is what the relation checks use.  Truncations
 are at most ``MAX_SIZE`` rows.
@@ -24,6 +31,8 @@ are at most ``MAX_SIZE`` rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
+from operator import mul
 
 from ..combinatorics import Word
 from ..errors import DivergenceError, NoConvergence, RelationViolation
@@ -32,10 +41,8 @@ Banded = dict[int, list]
 
 
 def _powers(base, one, size: int) -> list:
-    out = [one] * size
-    for i in range(1, size):
-        out[i] = out[i - 1] * base
-    return out
+    """one, one * base, (one * base) * base, ...: size terms, each from the last."""
+    return list(islice(accumulate(repeat(base), mul, initial=one), size))
 
 
 def banded_matrix(kind: str, x, size: int, q=None, t=None) -> Banded:
@@ -66,39 +73,56 @@ def banded_mul(a: Banded, b: Banded) -> Banded:
     return out
 
 
-def product_trace(mu: Word, q0, t0, xs, size: int) -> Fraction:
-    """Exact trace of the N-truncation of A_{mu_1}(x_1)...A_{mu_n}(x_n) S:
-    from the identity, each factor in turn is applied to the product's
-    diagonals."""
-    one = 1.0 if isinstance(q0, float) else 1
-    # a factor's entries by row j sit at off + j between off zeros each side;
-    # a kept diagonal has |d| < n and reads rows i + d - 1 to i + d + 1
-    off = mu.n + 1
-    pad, zeros = [0] * off, [0] * size  # zeros: a diagonal the product lacks
-    prod = {0: [one] * size}
-    for j, (a, x) in enumerate(zip(mu.letters, xs)):
-        rest = mu.letters[j + 1 :]  # the A0s and A2s still to come
-        keep = range(-rest.count(0), rest.count(2) + 1)
-        if a == 1:  # p[d][i] x t^(i+d)
-            w = pad + [x * ti for ti in _powers(t0, one, size)] + pad
-            prod = {d: [u * c for u, c in zip(p, w[off + d :])] for d, p in prod.items() if d in keep}
-            continue
-        if a == 0:  # p[d][i] + p[d-1][i] x while column i+d exists; u * one is u exactly
-            m, s, w = one, -1, [x] * (size - 1) + [0]
-        else:  # p[d][i] x^2 + p[d+1][i] x (1 - t^(i+d+1))
-            m, s, w = x * x, 1, [x * (one - ti) if i else 0 for i, ti in enumerate(_powers(t0, one, size))]
-        w = pad + w + pad
-        prod = {
-            d: [u * m + v * c for u, v, c in zip(prod.get(d, zeros), prod.get(d + s, zeros), w[off + d + s :])]
-            for d in keep
-            if d in prod or d + s in prod
-        }
-    total = 0  # an all-zero trace stays the integer 0
-    for u, c in zip(prod[0], _powers(q0, one, size)):
+def _add_rows(total, diagonal, qpowers):
+    for u, c in zip(diagonal, qpowers):
         v = u * c
         if v:
             total += v  # left to right: sum() of floats compensates from Python 3.12 on
     return total
+
+
+def product_trace(mu: Word, q0, t0, xs, size: int, *, carry: list | None = None) -> Fraction:
+    """Exact trace of the N-truncation of A_{mu_1}(x_1)...A_{mu_n}(x_n) S:
+    from the identity, each factor in turn is applied to the product's
+    diagonals.  ``carry`` is [k, s] from a smaller truncation of the same
+    word and point: rows below k are taken as summed into s, and on return
+    it holds the rows below size - #A0, which every larger truncation shares."""
+    one = 1.0 if isinstance(q0, float) else 1
+    lo, total = carry or (0, 0)  # an all-zero trace stays the integer 0
+    # row lo + r is entry r; a factor's weight at row or column j sits at
+    # off + j - lo, zero-padded where j < 0 or j >= size, and a kept
+    # diagonal has |d| < n and reads j = i + d - 1 to i + d + 1
+    off = mu.n + 1
+    first, pad = max(0, lo - off), [0] * off
+    head, zeros = [0] * (first - lo + off), [0] * (size - lo)  # zeros: a diagonal the product lacks
+    tpowers = _powers(t0, one, size)[first:]
+    prod = {0: [one] * (size - lo)}
+    for j, (a, x) in enumerate(zip(mu.letters, xs)):
+        rest = mu.letters[j + 1 :]  # the A0s and A2s still to come
+        keep = range(-rest.count(0), rest.count(2) + 1)
+        if a == 1:  # p[d][i] x t^(i+d)
+            w = head + [x * ti for ti in tpowers] + pad
+            prod = {d: [u * c for u, c in zip(p, w[off + d :])] for d, p in prod.items() if d in keep}
+        elif a == 0:  # p[d][i] + p[d-1][i] x while column i+d exists
+            w = head + [x] * (size - 1 - first) + [0] + pad
+            prod = {
+                d: [u + v * c for u, v, c in zip(prod.get(d, zeros), prod.get(d - 1, zeros), w[off + d - 1 :])]
+                for d in keep
+                if d in prod or d - 1 in prod
+            }
+        else:  # p[d][i] x^2 + p[d+1][i] x (1 - t^(i+d+1))
+            m, w = x * x, head + [x * (one - ti) if i else 0 for i, ti in enumerate(tpowers, first)] + pad
+            prod = {
+                d: [u * m + v * c for u, v, c in zip(prod.get(d, zeros), prod.get(d + 1, zeros), w[off + d + 1 :])]
+                for d in keep
+                if d in prod or d + 1 in prod
+            }
+    qpowers = _powers(q0, one, size)[lo:]
+    split = max(0, size - mu.k - lo)  # rows from size - #A0 on can reach column size
+    total = _add_rows(total, prod[0][:split], qpowers)
+    if carry is not None:
+        carry[:] = lo + split, total
+    return _add_rows(total, prod[0][split:], qpowers[split:])
 
 
 REL_TOL = 1e-10  # numeric truncated_trace: agreement of successive truncations
@@ -131,12 +155,10 @@ def truncated_trace(
         raise DivergenceError(f"need 0 < t0 < 1 and |q0 t0^r| < 1, got q0={q0}, t0={t0}, r={mu.r}")
     if size is not None:
         return product_trace(mu, q0, t0, xs, size)
-    fq, ft = float(q0), float(t0)
-    fxs = tuple(float(v) for v in xs)
-    previous = None
-    n = START_SIZE
+    fq, ft, fxs = float(q0), float(t0), tuple(float(v) for v in xs)
+    previous, carry, n = None, [0, 0], START_SIZE
     while n <= MAX_SIZE:
-        value = product_trace(mu, fq, ft, fxs, n)
+        value = product_trace(mu, fq, ft, fxs, n, carry=carry)
         if previous is not None and abs(value - previous) <= REL_TOL * max(1.0, abs(value)):
             return value
         previous = value

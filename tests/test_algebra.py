@@ -517,3 +517,33 @@ def test_swap_x():
     e = parse("x1^2*x2+q*x3")
     assert e.swap_x(1) == parse("x2^2*x1+q*x3")
     assert e.swap_x(1).swap_x(1) == e
+
+
+def test_from_json_rejects_a_document_without_terms():
+    for text in ("{}", '{"nvars": 1}'):
+        with pytest.raises(ValueError, match=r"document needs 'terms' \(list\)"):
+            from_json(text)
+    with pytest.raises(ValueError, match=r"document needs 'nvars' \(int\)"):
+        from_json('{"terms": []}')
+
+
+def test_from_json_rejects_a_document_that_is_not_an_object():
+    for text in ("[]", "1", '"terms"'):
+        with pytest.raises(ValueError, match="document needs 'terms'"):
+            from_json(text)
+
+
+def test_from_json_rejects_terms_that_are_not_a_list():
+    for terms in ({}, 1, None):
+        with pytest.raises(ValueError, match=r"document needs 'terms' \(list\)"):
+            from_json(json.dumps({"nvars": 1, "terms": terms}))
+
+
+def test_from_json_rejects_a_term_without_a_field():
+    full = {"x": [1], "num": [["1", 0, 0]], "den": [["1", 0, 0]]}
+    for key in full:
+        term = {k: v for k, v in full.items() if k != key}
+        with pytest.raises(ValueError, match=rf"term needs '{key}' \(list\)"):
+            from_json(json.dumps({"nvars": 1, "terms": [term]}))
+    with pytest.raises(ValueError, match="term needs 'x'"):
+        from_json(json.dumps({"nvars": 1, "terms": [[1]]}))

@@ -314,3 +314,9 @@ def test_any_argv_exits_with_a_defined_code(argv):
         code = main(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+def test_numeric_trace_that_never_settles_exits_3(capsys):
+    code, out, err = run(capsys, "trace", "22", "--numeric", "99/100", "999/1000")
+    assert code == 3 and out == ""
+    assert "not stable" in err and str(MAX_SIZE) in err

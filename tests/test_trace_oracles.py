@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 from crtasep.algebra import MultiPoly, RatFunc, parse, poly_gcd, qt_factorial_ratio, qtx, ratfunc
 from crtasep.combinatorics import Word
-from crtasep.errors import DivergenceError, PoleError, RelationViolation
+from crtasep.errors import DivergenceError, NoConvergence, PoleError, RelationViolation
 from crtasep.oracles.matrices import (
     MAX_SIZE,
     REL_TOL,
@@ -22,7 +23,7 @@ from crtasep.oracles.matrices import (
     product_trace,
     truncated_trace,
 )
-from crtasep.oracles import recurrence
+from crtasep.oracles import matrices, recurrence
 from crtasep.oracles.recurrence import f_mu, omega, trace_by_recurrence, trace_rec_eval
 from crtasep.weights import macdonald_E, macdonald_P, stationary_prob, tab_qtx, tab_qtx_eval, tab_t
 
@@ -415,3 +416,84 @@ def test_factorwise_product_trace_is_the_banded_definition():
                     got, want = product_trace(mu, *point, size), _unpruned_trace(mu, *point, size)
                     assert (got, type(got)) == (want, type(want)), (letters, size)
             assert truncated_trace(mu, q0, t0, xs[:n]) == _doubled_unpruned_trace(mu, q0, t0, xs[:n]), letters
+
+
+def _doubled_fresh_trace(mu, q0, t0, xs):
+    """truncated_trace's stopping rule over fresh product_trace calls, with
+    no rows carried over; None where it never stabilises."""
+    fq, ft, fxs = float(q0), float(t0), tuple(float(x) for x in xs)
+    previous, size = None, START_SIZE
+    while size <= MAX_SIZE:
+        value = product_trace(mu, fq, ft, fxs, size)
+        if previous is not None and abs(value - previous) <= REL_TOL * max(1.0, abs(value)):
+            return value
+        previous, size = value, size * 2
+    return None
+
+
+def test_carried_rows_give_the_fresh_doubling_bit_for_bit():
+    # every word with n <= 5 at seeded points, negative q0 and x among them
+    rng = random.Random(21)
+    negative_q = negative_x = 0
+    for n in range(1, 6):
+        for letters in itertools.product((0, 1, 2), repeat=n):
+            mu = Word(letters)
+            t0 = Fraction(rng.randint(1, 9), 10)
+            q0 = Fraction(rng.randint(-12, 12), 10)
+            while abs(q0 * t0**mu.r) >= 1:
+                q0 /= 2
+            xs = tuple(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5)) for _ in range(n))
+            negative_q += q0 < 0
+            negative_x += min(xs) < 0
+            want = _doubled_fresh_trace(mu, q0, t0, xs)
+            try:
+                got = truncated_trace(mu, q0, t0, xs).hex()
+            except NoConvergence:
+                got = None
+            assert got == (want if want is None else want.hex()), (letters, q0, t0, xs)
+    assert negative_q > 50 and negative_x > 300
+
+
+def _diagonal_terms(mu, q0, t0, xs, size):
+    """Entries (i, i) of the banded product A_{mu_1}(x_1)...A_{mu_n}(x_n) S."""
+    kinds = ("A0", "A1", "A2")
+    prod = banded_matrix("S", None, size, q=q0, t=t0)
+    for a, x in reversed(list(zip(mu.letters, xs))):
+        prod = banded_mul(banded_matrix(kinds[a], x, size, q=q0, t=t0), prod)
+    return prod[0]
+
+
+def test_rows_below_size_minus_a0_count_are_shared_by_larger_truncations():
+    # the lemma the carried rows rest on, exact; and the exact trace with
+    # rows carried from size N equals the fresh one at 2N, type and all
+    q0, t0 = Fraction(-3, 4), Fraction(2, 5)
+    xs = (Fraction(-5, 3), Fraction(1, 2), Fraction(7, 4), Fraction(-2, 9))
+    for n in range(1, 5):
+        for letters in itertools.product((0, 1, 2), repeat=n):
+            mu = Word(letters)
+            for size in (1, 2, 3, 5, 8):
+                exact = size - letters.count(0)
+                small, large = (_diagonal_terms(mu, q0, t0, xs[:n], m) for m in (size, 2 * size))
+                assert small[: max(0, exact)] == large[: max(0, exact)], (letters, size)
+                carry = [0, 0]
+                product_trace(mu, q0, t0, xs[:n], size, carry=carry)
+                assert carry[0] == max(0, exact)
+                got, want = product_trace(mu, q0, t0, xs[:n], 2 * size, carry=carry), sum(large)
+                assert (got, type(got)) == (want, type(want)), (letters, size)
+
+
+def test_truncated_trace_calls_product_trace_once_per_doubling(monkeypatch):
+    sizes = []
+
+    def recorded(*args, **kwargs):
+        sizes.append(args[4])
+        return product_trace(*args, **kwargs)
+
+    monkeypatch.setattr(matrices, "product_trace", recorded)
+    truncated_trace(W("0212"), Fraction(1, 3), Fraction(1, 2))
+    assert sizes == [START_SIZE, 2 * START_SIZE]
+
+
+def test_a_trace_that_never_settles_runs_every_doubling_then_gives_up():
+    with pytest.raises(NoConvergence, match=f"not stable .* {MAX_SIZE}"):
+        truncated_trace(W("22"), Fraction(99, 100), Fraction(999, 1000))
