@@ -277,7 +277,8 @@ def qt_factorial_ratio(a: int, b: int) -> RatFunc:
     return RatFunc._reduced(qt_factor(b - a, 0, 0), qt_factor(0, a, b))
 
 
-@lru_cache(maxsize=None)
+# Keys are pairs 0 <= a <= b <= n, the word length: 66 for n <= 10; the cap bounds longer words.
+@lru_cache(maxsize=1024)
 def t_factorial_ratio(a: int, b: int) -> RatFunc:
     """[a]_t! / [b]_t! for a <= b, i.e. 1 / ([a+1]_t ... [b]_t)."""
     if a > b:

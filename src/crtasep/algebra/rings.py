@@ -2,8 +2,15 @@
 trace recurrence (``oracles.recurrence``) are each written once; algebra
 alone, so the oracles need nothing of the sums they check.  A ``Ring`` is
 (term, factor, divide): ``SYMBOLIC`` keeps each Z[q, t] coefficient,
-``T_ONLY`` sets q = 1, and ``point_ring`` values it at one exact point in
-scaled integers, up to the one ``Fraction`` that ``divide`` makes.
+``t_ring(B)`` sets q = 1 and holds a polynomial p in t as the int p(2^B),
+read back from its base-2^B digits; ``tab_t`` proves by counting that no
+coefficient passes (sum_{s<=l} l!/(l-s)!)^k (r+l)! < 2^B.  Its
+``factor(a, lo, hi)`` is prod_{lo<j<=hi} [j]_t, ``qt_factor`` at q = 1 over
+(1 - t)^(a + hi - lo), and ``divide`` drops (1 - t)^(hi - lo): every term
+of a tableau sum has a + hi - lo = top, divide's hi - lo, so the powers
+cancel and every value keeps nonnegative coefficients.  ``point_ring``
+values each coefficient at one exact point in scaled integers, up to the
+one ``Fraction`` that ``divide`` makes.
 """
 
 from __future__ import annotations
@@ -14,8 +21,9 @@ from math import lcm, prod
 from typing import Callable, NamedTuple
 
 from ..errors import PoleError
+from .poly import MultiPoly
 from .qtx import QtxExpr
-from .ratfunc import RatFunc, qt_factor
+from .ratfunc import RatFunc, qt_factor, t_factorial_ratio
 
 
 class Ring(NamedTuple):
@@ -31,13 +39,25 @@ SYMBOLIC = Ring(
     lambda a, lo, hi: QtxExpr.x_monomial((), qt_factor(a, lo, hi)),
     lambda value, lo, hi: QtxExpr({xs: RatFunc(c, qt_factor(0, lo, hi)) for xs, c in value.coeffs.items()}),
 )
-# keys: G's interned polynomials and qt_factor's values (23 in a law-sweep pass)
-_at_q1 = lru_cache(maxsize=4096)(lambda p: p.subs_q(1))
-T_ONLY = Ring(
-    lambda coeff, exps: _at_q1(coeff),
-    lambda a, lo, hi: _at_q1(qt_factor(a, lo, hi)),
-    lambda value, lo, hi: RatFunc(value, _at_q1(qt_factor(0, lo, hi))),
-)
+
+# keys: G's interned polynomials with a width (a few hundred in a law-sweep pass)
+_pack = lru_cache(maxsize=4096)(lambda p, width: sum(c << width * et for (_, et), c in p.terms.items()))
+
+
+def _unpack(v: int, width: int) -> MultiPoly:
+    """The polynomial in t whose coefficients are v's base-2^width digits."""
+    mask = (1 << width) - 1
+    return MultiPoly({(0, e): v >> width * e & mask for e in range(-(-v.bit_length() // width))})
+
+
+def t_ring(width: int) -> Ring:
+    """q = 1 and every x = 1, each value packed at t = 2^width."""
+    unit = (1 << width) - 1  # [j]_t at t = 2^width is (2^(width j) - 1) / unit
+    return Ring(
+        lambda coeff, exps: _pack(coeff, width),
+        lambda a, lo, hi: prod(((1 << width * j) - 1) // unit for j in range(lo + 1, hi + 1)),
+        lambda value, lo, hi: RatFunc(_unpack(value, width), t_factorial_ratio(lo, hi).den),
+    )
 
 
 class _Table(dict):

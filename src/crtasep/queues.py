@@ -114,13 +114,13 @@ def _from_chains(n: int, bottom, self_matched, chains: dict[int, tuple[int, ...]
     return TwoLineQueue.make(n, top, bottom, matching)
 
 
-def _traverse(queue: TwoLineQueue) -> list[tuple[int, int, int, int]]:
-    """Edge records (i, j, skipped, free) of the weighting traversal.
+def _traverse(queue: TwoLineQueue) -> list[tuple[int, int, int]]:
+    """Edge records (i, j, skipped) of the weighting traversal.
 
     Walks the chains from the rightmost unrestricted top ball leftwards;
     ``skipped`` counts free bottom balls passed moving right cyclically
-    from i to j, ``free`` the free count when the edge is weighted.
-    Self-matched bottom balls stay free throughout.
+    from i to j.  Each edge's target j stops being free; self-matched
+    bottom balls stay free throughout.
     """
     free = set(queue.bottom)
     records = []
@@ -130,7 +130,7 @@ def _traverse(queue: TwoLineQueue) -> list[tuple[int, int, int, int]]:
                 skipped = sum(1 for u in free if i <= u < j)
             else:
                 skipped = sum(1 for u in free if u >= i or u < j)
-            records.append((i, j, skipped, len(free)))
+            records.append((i, j, skipped))
             free.discard(j)
     return records
 
@@ -139,15 +139,15 @@ def queue_weight(queue: TwoLineQueue) -> QtxExpr:
     """x per ball, times q^{wrap} t^{skipped} / [free] per traversal edge."""
     queue.validate()
     total_q = total_t = edges = 0
-    for i, j, skipped, _ in _traverse(queue):
+    for i, j, skipped in _traverse(queue):
         total_q += i > j
         total_t += skipped
         edges += 1
     exps = [0] * queue.n
     for c in itertools.chain(queue.top, queue.bottom):
         exps[c - 1] += 1
-    # free is r+l, r+l-1, ... along the E edges: the brackets make [r+l-E]!/[r+l]!,
-    # and q^a t^b (1-t)^E shares no factor with its denominator
+    # free is r+l, r+l-1, ... along the E edges, whose targets are distinct bottom balls: the
+    # brackets make [r+l-E]!/[r+l]!, and q^a t^b (1-t)^E shares no factor with its denominator
     rl = len(queue.bottom)
     num = MultiPoly.monomial(total_q, total_t) * qt_factor(edges, 0, 0)
     return QtxExpr.x_monomial(exps, RatFunc._reduced(num, qt_factor(0, rl - edges, rl)))

@@ -16,7 +16,8 @@ r+l) into one map a -> body.  The partition function needs no tableaux: it
 is the product C(n, r+l) C(n, l).
 
 The sums run in the rings of ``algebra.rings`` from their first term to
-one division, which the stationary law's integer Z joins.  ``wt_qtx`` and
+one division, which the stationary law's integer Z joins.  Tab_t packs each
+polynomial in t into one int, with a width proved by counting.  ``wt_qtx`` and
 ``wt_t`` follow the definition, a sum over the orderings.  This module holds
 the tableau sums alone: it imports no oracle, and no oracle imports it.
 """
@@ -26,13 +27,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb
+from math import comb, factorial, perm
 from operator import add
 
 from .algebra.poly import MultiPoly
 from .algebra.qtx import QtxExpr
 from .algebra.ratfunc import RatFunc, qt_factorial_ratio
-from .algebra.rings import SYMBOLIC, T_ONLY, Ring, point_ring
+from .algebra.rings import SYMBOLIC, Ring, point_ring, t_ring
 from .combinatorics import (
     ArrowOrdering,
     Diagram,
@@ -148,7 +149,13 @@ def tab_qtx(mu: Word) -> QtxExpr:
 def tab_t(mu: Word) -> RatFunc:
     """Sum of t-weights over all tableaux; computed directly with
     t-brackets (the q = 1, x = 1 specialization of tab_qtx is a test)."""
-    return _tableau_sum([build_diagram(mu)], T_ONLY)
+    # t_ring's width must pass every coefficient of the sum N.  None is
+    # negative, so each is at most N(1), which counting bounds: at t = 1 a
+    # row's terms add up to the orders of its arrows, an ordered choice of
+    # s <= l square columns, sum_s l!/(l-s)! ways for each of the k rows,
+    # and a factor prod [j]_t is at most (r+l)!.
+    bound = sum(perm(mu.l, s) for s in range(mu.l + 1)) ** mu.k * factorial(mu.r + mu.l)
+    return _tableau_sum([build_diagram(mu)], t_ring(bound.bit_length()))
 
 
 def tab_qtx_eval(mu: Word, q0, t0, xs) -> Fraction:

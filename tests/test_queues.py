@@ -53,13 +53,7 @@ def test_worked_queue_weight():
 def test_traversal_order_and_skips():
     # chains start at the rightmost unrestricted top ball (column 8 first)
     records = _traverse(paper_queue())
-    assert [(i, j) for i, j, _, _ in records] == [(8, 4), (4, 10), (10, 5), (6, 9)]
-    assert [(skipped, free) for _, _, skipped, free in records] == [
-        (4, 7),
-        (3, 6),
-        (2, 5),
-        (1, 4),
-    ]
+    assert records == [(8, 4, 4), (4, 10, 3), (10, 5, 2), (6, 9, 1)]
 
 
 def test_trivial_weights():
@@ -145,8 +139,11 @@ def test_queue_round_trip_from_queue_side():
 
 
 def test_traversal_denominators_are_consecutive():
+    # queue_weight's [r+l-E]!/[r+l]! needs the free count to fall by one per
+    # edge from r+l: the bottom row holds r+l balls and the E edge targets,
+    # each no longer free once weighted, are distinct bottom balls
     for mu in [W("201021"), W("022222"), W("0212")]:
-        rl = mu.r + mu.l
         for queue in enumerate_queues(mu):
-            frees = [free for _, _, _, free in _traverse(queue)]
-            assert frees == list(range(rl, rl - len(frees), -1))
+            targets = [j for _, j, _ in _traverse(queue)]
+            assert len(queue.bottom) == mu.r + mu.l
+            assert len(set(targets)) == len(targets) and set(targets) <= queue.bottom

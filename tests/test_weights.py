@@ -6,6 +6,7 @@ no row factorisation) guard the production paths.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -19,13 +20,15 @@ from crtasep.algebra import (
     RatFunc,
     canonical_string,
     parse,
+    poly_divexact,
     qt_factorial_ratio,
     ratfunc_string,
     t_bracket,
     t_factorial_ratio,
 )
-from crtasep.algebra.rings import point_ring
-from crtasep import combinatorics
+from crtasep.algebra.ratfunc import qt_factor
+from crtasep.algebra.rings import Ring, point_ring, t_ring
+from crtasep import combinatorics, weights
 from crtasep.combinatorics import (
     ArrowOrdering,
     Tableau,
@@ -38,6 +41,7 @@ from crtasep.combinatorics import (
 from crtasep.errors import NotAPartition
 from crtasep.oracles.recurrence import f_mu, omega, trace_by_recurrence, trace_rec_eval
 from crtasep.weights import (
+    _tableau_sum,
     macdonald_E,
     macdonald_P,
     partition_function,
@@ -161,6 +165,53 @@ def test_tab_t_at_one(mu):
         comb(mu.n, mu.l) * factorial(mu.l) * factorial(mu.r), factorial(mu.r + mu.l)
     )
     assert tab_t(mu).evaluate(1, 1) == want
+
+
+# q = 1 in MultiPoly arithmetic, each factor with its (1 - t)^a: the packed
+# t-ring's answers must be this ring's
+T_REFERENCE = Ring(
+    lambda coeff, exps: coeff.subs_q(1),
+    lambda a, lo, hi: qt_factor(a, lo, hi).subs_q(1),
+    lambda value, lo, hi: RatFunc(value, qt_factor(0, lo, hi).subs_q(1)),
+)
+
+# wide n <= 10 sectors by tab_t's width bound: the widest, (4,0,6) and (3,0,7)
+# at 54 bits, (5,0,5) at 49 and its neighbours, (3,1,6) at 46
+WIDE_SECTORS = [(4, 0, 6), (3, 0, 7), (5, 0, 5), (3, 1, 6), (4, 1, 5), (5, 1, 4), (6, 0, 4)]
+
+
+def wide_and_sampled_words():
+    rng = random.Random(0)
+    for sector in WIDE_SECTORS:
+        yield from rng.sample(enumerate_states(*sector), 3)
+    for _ in range(40):
+        yield Word(tuple(rng.choice((0, 1, 2)) for _ in range(rng.randint(1, 9))))
+
+
+def test_tab_t_matches_the_multipoly_reference_ring():
+    for mu in wide_and_sampled_words():
+        assert tab_t(mu) == _tableau_sum([build_diagram(mu)], T_REFERENCE), mu
+
+
+def test_packed_width_must_pass_every_coefficient(monkeypatch):
+    # the packed sum N is the reference sum over (1 - t)^top; a width that
+    # cannot hold N's largest coefficient must change the answer
+    widths = []
+    monkeypatch.setattr(weights, "t_ring", lambda width: widths.append(width) or t_ring(width))
+    sums = []
+    capture = T_REFERENCE._replace(divide=lambda value, lo, hi: sums.append((value, hi - lo)))
+    for text in ("2020202020", "0202020202", "2222200000", "0222222000", "2102120", "221100"):
+        mu = W(text)
+        want = tab_t(mu)
+        _tableau_sum([build_diagram(mu)], capture)
+        value, top = sums.pop()
+        n_coeffs = poly_divexact(value, (MultiPoly.one() - MultiPoly.t()) ** top).terms.values()
+        assert min(n_coeffs) >= 0
+        fits = max(n_coeffs).bit_length()
+        assert fits <= widths.pop(), text
+        packed = lambda width: _tableau_sum([build_diagram(mu)], t_ring(width))
+        assert packed(fits) == want
+        assert packed(fits - 1) != want, text
 
 
 def test_numeric_twins_match_symbolic():
