@@ -3,14 +3,15 @@ trace recurrence (``oracles.recurrence``) are each written once; algebra
 alone, so the oracles need nothing of the sums they check.  A ``Ring`` is
 (term, factor, divide): ``SYMBOLIC`` keeps each Z[q, t] coefficient,
 ``t_ring(B)`` sets q = 1 and holds a polynomial p in t as the int p(2^B),
-read back from its base-2^B digits; ``tab_t`` proves by counting that no
-coefficient passes (sum_{s<=l} l!/(l-s)!)^k (r+l)! < 2^B.  Its
-``factor(a, lo, hi)`` is prod_{lo<j<=hi} [j]_t, ``qt_factor`` at q = 1 over
-(1 - t)^(a + hi - lo), and ``divide`` drops (1 - t)^(hi - lo): every term
-of a tableau sum has a + hi - lo = top, divide's hi - lo, so the powers
-cancel and every value keeps nonnegative coefficients.  ``point_ring``
-values each coefficient at one exact point in scaled integers, up to the
-one ``Fraction`` that ``divide`` makes.
+read back from its base-2^B digits; ``tab_t`` proves by counting, as
+arrows take distinct square columns, that no coefficient passes
+sum_{s<=l} C(l,s) s! C(s+k-1,k-1) (r+l)! < 2^B (39 bits at most for
+n <= 10).  Its ``factor(a, lo, hi)`` is prod_{lo<j<=hi} [j]_t,
+``qt_factor`` at q = 1 over (1 - t)^(a + hi - lo), and ``divide`` drops
+(1 - t)^(hi - lo): every term of a tableau sum has a + hi - lo = top,
+divide's hi - lo, so the powers cancel and every value keeps nonnegative
+coefficients.  ``point_ring`` values each coefficient at one exact point
+in scaled integers, up to the one ``Fraction`` that ``divide`` makes.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ A cyclic shift of every word maps the ring process to itself, so its unique
 stationary law is constant on rotation orbits.  `steady_state` therefore
 checks that the stationary law is unique (exactly one closed communicating
 class), lumps the chain onto the rotation orbits, solves the quotient's
-balance system (about m/n unknowns instead of m) by rational Gauss-Jordan,
-spreads each orbit's mass evenly over its states, and certifies the result
-exactly on the full chain: pi P = pi, sum(pi) = 1 and no negative entry.
+balance system (about m/n unknowns instead of m) in integers by Bareiss
+elimination, spreads each orbit's mass evenly over its states, and certifies
+the result in integers on the full chain: pi P = pi and no negative entry.
 When the states or the entries are not rotation-invariant the orbits are
 singletons and the same solve runs on the full chain.  Only the chain and
 its symmetry are used, never the tableau formula, so the oracle stays
@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
+from ..algebra.rings import _Table
 from ..combinatorics import Word, enumerate_states
 from ..errors import InvalidRate, SingularSystem
 
@@ -44,16 +46,19 @@ def build_transition_matrix(k: int, r: int, l: int, t0) -> TransitionMatrix:
     """One step of the ring process: a cyclically adjacent pair with the
     larger letter on the left swaps with probability t0/n, the reverse swap
     has probability 1/n; remaining mass stays put.  On the two-site ring
-    both bonds join the same pair, so those rates add."""
+    both bonds join the same pair, so those rates add.  With t0 = a/b the
+    moves are integer rates a and b over the one denominator n b."""
     t0 = Fraction(t0)
     if not 0 <= t0 <= 1:
         raise InvalidRate(f"hop rate must lie in [0, 1]: {t0}")
     states = enumerate_states(k, r, l)
     index = {mu: i for i, mu in enumerate(states)}
     n = k + r + l
+    fast, slow = t0.numerator, t0.denominator
+    entry = _Table(lambda v: Fraction(v, n * slow))  # one Fraction per distinct rate
     rows = []
     for mu in states:
-        row: dict[int, Fraction] = {}
+        moves: dict[int, int] = {}
         for p in range(n):
             a, b = mu.letters[p], mu.letters[(p + 1) % n]
             if a == b:
@@ -61,9 +66,9 @@ def build_transition_matrix(k: int, r: int, l: int, t0) -> TransitionMatrix:
             swapped = list(mu.letters)
             swapped[p], swapped[(p + 1) % n] = b, a
             j = index[Word(tuple(swapped))]
-            row[j] = row.get(j, 0) + (Fraction(t0, n) if a > b else Fraction(1, n))
-        row[index[mu]] = Fraction(1) - sum(row.values())
-        rows.append({j: v for j, v in row.items() if v})
+            moves[j] = moves.get(j, 0) + (fast if a > b else slow)
+        moves[index[mu]] = n * slow - sum(moves.values())
+        rows.append({j: entry[v] for j, v in moves.items() if v})
     return TransitionMatrix(tuple(states), t0, tuple(rows))
 
 
@@ -79,60 +84,65 @@ def steady_state(matrix: TransitionMatrix) -> tuple[Fraction, ...]:
        is closed under the shift and P[rho mu][rho nu] = P[mu][nu] on every
        nonzero entry, so pi is constant on each orbit; singletons
        otherwise.
-    3. Quotient solve: with Q[O][O'] the sum of P[rep O][nu] over nu in O',
-       one balance equation of pi_hat Q = pi_hat is replaced by
-       sum(pi_hat) = 1 and the system is solved by rational Gauss-Jordan.
-    4. Lift: pi(mu) = pi_hat(O) / |O| for mu in O.
-    5. Certificate: pi P = pi and sum(pi) = 1 are checked exactly on the
-       full chain, and a negative entry is rejected; either failure raises
-       `SingularSystem`."""
-    m = matrix.size
-    rows = matrix.rows
-    if not _one_closed_class(rows):
+    3. Quotient solve: in integers, M = D P with D the lcm of P's
+       denominators.  With Q[O][O'] the sum of M[rep O][nu] over nu in O',
+       one equation of pi_hat Q = D pi_hat is replaced by sum(pi_hat) = 1,
+       and Bareiss elimination, zero wherever Gaussian elimination is zero,
+       gives x = det pi_hat, an integer vector by Cramer's rule.
+    4. Lift: w(mu) = x(O) L / |O| for mu in O, L the lcm of the orbit sizes,
+       signed so that sum(w) > 0; pi = w / sum(w).
+    5. Certificate: `_certify` checks w M = D w and w >= 0 on the full chain
+       in integers; either failure raises `SingularSystem`."""
+    if not _one_closed_class(matrix.rows):
         raise SingularSystem("the chain has more than one closed class")
-    orbits = _rotation_orbits(matrix.states, rows)
+    orbits = _rotation_orbits(matrix.states, matrix.rows)
+    d = lcm(*{v.denominator for row in matrix.rows for v in row.values()})
+    ints = [{j: v.numerator * (d // v.denominator) for j, v in row.items()} for row in matrix.rows]
 
-    # Equations indexed by orbit O': sum_O pi_hat(O) (Q[O][O'] - delta) = 0.
+    # Equations indexed by orbit O': sum_O pi_hat(O) (Q[O][O'] - D delta) = 0,
+    # the last replaced by the all-ones row; column `size` is the right side.
     size = len(orbits)
-    orbit_of = [0] * m
+    orbit_of = {i: o for o, orbit in enumerate(orbits) for i in orbit}
+    a = [[0] * (size + 1) for _ in range(size)]
     for o, orbit in enumerate(orbits):
-        for i in orbit:
-            orbit_of[i] = o
-    a = [[Fraction(0)] * size for _ in range(size)]
-    for o, orbit in enumerate(orbits):
-        for j, v in rows[orbit[0]].items():
+        for j, v in ints[orbit[0]].items():
             a[orbit_of[j]][o] += v
-        a[o][o] -= 1
-    b = [Fraction(0)] * size
-    a[size - 1] = [Fraction(1)] * size
-    b[size - 1] = Fraction(1)
+        a[o][o] -= d
+    a[size - 1] = [1] * (size + 1)
 
+    det = 1  # the last pivot: the leading minor of the rows so far
     for col in range(size):
-        pivot = next((row for row in range(col, size) if a[row][col] != 0), None)
+        pivot = next((row for row in range(col, size) if a[row][col]), None)
         if pivot is None:  # only reachable when the rows are not stochastic
             raise SingularSystem("stationary system is rank deficient")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        b[col] *= inv
-        for row in range(size):
-            if row != col and a[row][col]:
-                factor = a[row][col]
-                a[row] = [u - factor * v for u, v in zip(a[row], a[col])]
-                b[row] -= factor * b[col]
+        a[col], a[pivot] = a[pivot], a[col]
+        head, tail = a[col][col], a[col][col + 1 :]
+        for row in a[col + 1 :]:
+            f = row[col]
+            row[col + 1 :] = [(u * head - f * v) // det for u, v in zip(row[col + 1 :], tail)]
+        det = head
+    x = [0] * size
+    for col in reversed(range(size)):
+        done = sum(u * v for u, v in zip(a[col][col + 1 : size], x[col + 1 :]))
+        x[col] = (det * a[col][size] - done) // a[col][col]
 
-    pi = [b[orbit_of[i]] / len(orbits[orbit_of[i]]) for i in range(m)]
-    flow = [Fraction(0)] * m
-    for i, row in enumerate(rows):
+    scale = lcm(*map(len, orbits)) * (1 if det > 0 else -1)
+    w = [x[orbit_of[i]] * scale // len(orbits[orbit_of[i]]) for i in range(matrix.size)]
+    _certify(ints, d, w)
+    total = sum(w)
+    return tuple(Fraction(v, total) for v in w)
+
+
+def _certify(ints: Sequence[dict[int, int]], d: int, w: Sequence[int]) -> None:
+    """Raise `SingularSystem` unless w M = D w and w >= 0, M the rows ``ints``."""
+    flow = [0] * len(w)
+    for wi, row in zip(w, ints):
         for j, v in row.items():
-            flow[j] += pi[i] * v
-    if flow != pi or sum(pi) != 1:
+            flow[j] += wi * v
+    if flow != [d * wi for wi in w]:
         raise SingularSystem("the solution fails pi P = pi or sum(pi) = 1")
-    if any(p < 0 for p in pi):
+    if any(wi < 0 for wi in w):
         raise SingularSystem("negative entry in the stationary solution")
-    return tuple(pi)
 
 
 def _one_closed_class(succ: Sequence[Iterable[int]]) -> bool:

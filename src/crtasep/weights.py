@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, factorial, perm
+from math import comb, factorial
 from operator import add
 
 from .algebra.poly import MultiPoly
@@ -151,10 +151,14 @@ def tab_t(mu: Word) -> RatFunc:
     t-brackets (the q = 1, x = 1 specialization of tab_qtx is a test)."""
     # t_ring's width must pass every coefficient of the sum N.  None is
     # negative, so each is at most N(1), which counting bounds: at t = 1 a
-    # row's terms add up to the orders of its arrows, an ordered choice of
-    # s <= l square columns, sum_s l!/(l-s)! ways for each of the k rows,
-    # and a factor prod [j]_t is at most (r+l)!.
-    bound = sum(perm(mu.l, s) for s in range(mu.l + 1)) ** mu.k * factorial(mu.r + mu.l)
+    # row's terms add up to the orders of its arrows, and arrows take
+    # distinct square columns across rows, so a body counts at most the
+    # s <= l columns, C(l, s) ways, in s! orders cut into k rows' lists,
+    # C(s+k-1, k-1) ways (one way, with no column, when k = 0); a factor
+    # prod [j]_t is at most (r+l)!.
+    k, l = mu.k, mu.l
+    bodies = sum(comb(l, s) * factorial(s) * comb(s + k - 1, k - 1) for s in range(l + 1)) if k else 1
+    bound = bodies * factorial(mu.r + l)
     return _tableau_sum([build_diagram(mu)], t_ring(bound.bit_length()))
 
 

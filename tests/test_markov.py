@@ -2,6 +2,7 @@
 Gauss-Jordan solve over every state."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from crtasep.combinatorics import Word, enumerate_states
 from crtasep.errors import InvalidRate, SingularSystem
-from crtasep.oracles.markov import TransitionMatrix, build_transition_matrix, steady_state
+from crtasep.oracles.markov import TransitionMatrix, _certify, build_transition_matrix, steady_state
 from crtasep.weights import stationary_prob
 
 HALF = Fraction(1, 2)
@@ -99,6 +100,48 @@ def test_steady_state_scales_to_322():
         assert pi[idx] == stationary_prob(mu).evaluate(1, t0)
 
 
+def test_steady_state_scales_to_332():
+    # m = 560 states in 70 rotation orbits: the integer solve's entries grow
+    # as the minors of the 70 x 70 quotient
+    t0 = Fraction(3, 7)
+    m = build_transition_matrix(3, 3, 2, t0)
+    pi = steady_state(m)
+    assert m.size == 560
+    for idx, mu in enumerate(m.states):
+        assert pi[idx] == stationary_prob(mu).evaluate(1, t0)
+
+
+def _integer_chain(matrix: TransitionMatrix):
+    """D, the rows of M = D P, and the stationary law as ints over one denominator."""
+    d = lcm(*{v.denominator for row in matrix.rows for v in row.values()})
+    ints = [{j: v.numerator * (d // v.denominator) for j, v in row.items()} for row in matrix.rows]
+    pi = steady_state(matrix)
+    total = lcm(*(p.denominator for p in pi))
+    return d, ints, [int(p * total) for p in pi]
+
+
+def test_certificate_rejects_a_scaled_orbit_or_two_swapped_states():
+    matrix = build_transition_matrix(3, 2, 2, HALF)
+    d, ints, w = _integer_chain(matrix)
+    _certify(ints, d, w)  # the solved weights pass
+    mu = matrix.states[0]
+    orbit = {matrix.index_of(mu)}
+    while _rotate(mu) != matrix.states[0]:
+        mu = _rotate(mu)
+        orbit.add(matrix.index_of(mu))
+    scaled = [2 * v if i in orbit else v for i, v in enumerate(w)]
+    with pytest.raises(SingularSystem, match="fails pi P = pi"):
+        _certify(ints, d, scaled)
+    i, j = 0, w.index(max(w))
+    assert w[i] != w[j]
+    swapped = list(w)
+    swapped[i], swapped[j] = w[j], w[i]
+    with pytest.raises(SingularSystem, match="fails pi P = pi"):
+        _certify(ints, d, swapped)
+    with pytest.raises(SingularSystem, match="negative entry"):
+        _certify(ints, d, [-v for v in w])
+
+
 # -- contract: the quotient solve against a dense solve over every state -----
 
 
@@ -164,6 +207,18 @@ rates = st.fractions(min_value=0, max_value=1, max_denominator=7)
 def test_quotient_solve_matches_dense_on_ring_chains(counts, t0):
     m = build_transition_matrix(*counts, t0)
     assert _outcome(steady_state, m) == _outcome(_dense_steady_state, m)
+
+
+@pytest.mark.parametrize("t0", [Fraction(0), Fraction(1)])
+def test_quotient_solve_matches_dense_at_the_end_rates(t0):
+    # t0 = 0 drops every fast swap (a one-way ring), t0 = 1 makes both swaps equal
+    for n in range(1, 5):
+        for k in range(n + 1):
+            for r in range(n - k + 1):
+                m = build_transition_matrix(k, r, n - k - r, t0)
+                pi = steady_state(m)
+                assert pi == _dense_steady_state(m), (k, r, t0)
+                assert [type(p) for p in pi] == [Fraction] * m.size
 
 
 @st.composite

@@ -175,8 +175,8 @@ T_REFERENCE = Ring(
     lambda value, lo, hi: RatFunc(value, qt_factor(0, lo, hi).subs_q(1)),
 )
 
-# wide n <= 10 sectors by tab_t's width bound: the widest, (4,0,6) and (3,0,7)
-# at 54 bits, (5,0,5) at 49 and its neighbours, (3,1,6) at 46
+# n <= 10 sectors with many square columns to each row; tab_t's width bound
+# gives 27 bits for (4,0,6), 31 for (3,0,7), 22 for (5,0,5), 28 for (3,1,6)
 WIDE_SECTORS = [(4, 0, 6), (3, 0, 7), (5, 0, 5), (3, 1, 6), (4, 1, 5), (5, 1, 4), (6, 0, 4)]
 
 
