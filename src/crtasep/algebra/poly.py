@@ -177,6 +177,16 @@ class MultiPoly(Arithmetic):
             return NotImplemented
         if not self.terms or not other.terms:
             return _POLY_ZERO
+        if self is _POLY_ONE:
+            return other
+        if other is _POLY_ONE:
+            return self
+        out = MultiPoly.__new__(MultiPoly)
+        out._hash = None
+        if len(self.terms) == 1 == len(other.terms):
+            ((aq, at), ac), ((bq, bt), bc) = *self.terms.items(), *other.terms.items()
+            out.terms = {(aq + bq, at + bt): ac * bc}
+            return out
         prod: dict[Key, int] = {}
         for (aq, at), ac in self.terms.items():
             for (bq, bt), bc in other.terms.items():
@@ -186,9 +196,7 @@ class MultiPoly(Arithmetic):
                     prod[key] = s
                 else:
                     prod.pop(key, None)
-        out = MultiPoly.__new__(MultiPoly)
         out.terms = prod
-        out._hash = None
         return out
 
     __rmul__ = __mul__

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from ..errors import ParseError
@@ -36,7 +37,7 @@ def _mul_xs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return a
     if len(a) < len(b):
         a, b = b, a
-    return tuple(ai + bi for ai, bi in zip(a, b)) + a[len(b):]
+    return (*map(add, a, b), *a[len(b):])
 
 
 class QtxExpr(Arithmetic):
@@ -73,7 +74,11 @@ class QtxExpr(Arithmetic):
 
     @staticmethod
     def x_monomial(xs: Iterable[int], coeff: RatFunc | MultiPoly | None = None) -> "QtxExpr":
-        return QtxExpr({tuple(xs): coeff if coeff is not None else RatFunc.one()})
+        if coeff is None:
+            coeff = RatFunc.one()
+        out = QtxExpr.__new__(QtxExpr)
+        out.coeffs = {} if coeff.is_zero() else {_trim(xs): coeff}
+        return out
 
     # -- structure --------------------------------------------------------
 
@@ -123,9 +128,10 @@ class QtxExpr(Arithmetic):
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "QtxExpr":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not QtxExpr:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not self.coeffs:
             return other
         if not other.coeffs:
@@ -150,11 +156,23 @@ class QtxExpr(Arithmetic):
         return out
 
     def __mul__(self, other) -> "QtxExpr":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not QtxExpr:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not self.coeffs or not other.coeffs:
             return QtxExpr()
+        out = QtxExpr.__new__(QtxExpr)
+        # times one monomial: distinct keys stay distinct, and no product of
+        # nonzero coefficients is zero
+        if len(other.coeffs) == 1:
+            ((xb, cb),) = other.coeffs.items()
+            out.coeffs = {_mul_xs(xa, xb): ca * cb for xa, ca in self.coeffs.items()}
+            return out
+        if len(self.coeffs) == 1:
+            ((xa, ca),) = self.coeffs.items()
+            out.coeffs = {_mul_xs(xa, xb): ca * cb for xb, cb in other.coeffs.items()}
+            return out
         coeffs: dict[tuple[int, ...], RatFunc] = {}
         for xa, ca in self.coeffs.items():
             for xb, cb in other.coeffs.items():
@@ -166,7 +184,6 @@ class QtxExpr(Arithmetic):
                     coeffs.pop(key, None)
                 else:
                     coeffs[key] = s
-        out = QtxExpr.__new__(QtxExpr)
         out.coeffs = coeffs
         return out
 

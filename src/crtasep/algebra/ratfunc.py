@@ -4,10 +4,13 @@ A rational constant a/b is the fraction of the constants a and b.  Canonical
 form: numerator and denominator are coprime with joint content 1, and the
 denominator's leading coefficient (graded lex, q > t) is positive.  Two
 rational functions are equal as field elements iff their canonical forms
-coincide, so ``==`` is exact field equality.  Every fraction is reduced with
-``poly_gcd``, whose primitive gcds keep the quotients in Z[q, t] (Gauss's
-lemma); sums and products of reduced fractions run it only on the factors
-that can cancel (Henrici's method).
+coincide, so ``==`` is exact field equality.  A fraction of arbitrary
+polynomials is reduced with ``poly_gcd``, whose primitive gcds keep the
+quotients in Z[q, t] (Gauss's lemma); sums and products of reduced fractions
+run it only on the factors that can cancel (Henrici's method).  A polynomial
+over a product of distinct brackets 1 - q t^j, the one denominator of the
+symbolic tableau and trace sums, needs no gcd: ``divide_by_brackets`` tests
+and divides one bracket at a time.
 """
 
 from __future__ import annotations
@@ -266,6 +269,38 @@ def qt_factor(a: int, lo: int, hi: int) -> MultiPoly:
     one = MultiPoly.one()
     brackets = (one - MultiPoly.q() * MultiPoly.t(j) for j in range(lo + 1, hi + 1))
     return prod(brackets, start=(one - MultiPoly.t()) ** a)
+
+
+def divide_by_brackets(c: MultiPoly, lo: int, hi: int) -> RatFunc:
+    """c / qt_factor(0, lo, hi), reduced with no gcd.  Each bracket 1 - q t^j
+    is linear in q and primitive, so irreducible, and no two are equal: the
+    gcd is the product of the brackets that divide c.  With c_i the
+    coefficient of q^i and top the q-degree, h_0 = c_0, h_i = c_i + t^j h_(i-1)
+    is the quotient, and the bracket divides iff c_top = -t^j h_(top-1)."""
+    if c.is_zero():
+        return _RF_ZERO
+    slices: list[dict[int, int]] = [{} for _ in range(c.degree_q() + 1)]  # c_i as {e_t: coefficient}
+    for (eq, et), k in c.terms.items():
+        slices[eq][et] = k
+    kept = []
+    for j in range(lo + 1, hi + 1):
+        h: dict[int, int] = {}
+        quotient = []
+        for c_i in slices[:-1]:
+            h = {et + j: k for et, k in h.items()}
+            for et, k in c_i.items():
+                s = h.get(et, 0) + k
+                if s:
+                    h[et] = s
+                else:
+                    del h[et]
+            quotient.append(h)
+        if {et + j: -k for et, k in h.items()} == slices[-1]:
+            slices = quotient
+        else:
+            kept.append(j)
+    num = MultiPoly({(i, et): k for i, c_i in enumerate(slices) for et, k in c_i.items()})
+    return RatFunc._reduced(num, prod((qt_factor(0, j - 1, j) for j in kept), start=MultiPoly.one()))
 
 
 def qt_factorial_ratio(a: int, b: int) -> RatFunc:

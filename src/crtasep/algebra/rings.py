@@ -1,11 +1,14 @@
 """The coefficient rings in which the tableau sums (``weights``) and the
 trace recurrence (``oracles.recurrence``) are each written once; algebra
 alone, so the oracles need nothing of the sums they check.  A ``Ring`` is
-(term, factor, divide): ``SYMBOLIC`` keeps each Z[q, t] coefficient,
+(term, factor, divide): ``SYMBOLIC`` keeps each Z[q, t] coefficient and
+divides it by the brackets prod_{lo<j<=hi} (1 - q t^j) one at a time
+(``divide_by_brackets``, no gcd: the brackets are distinct and irreducible),
 ``t_ring(B)`` sets q = 1 and holds a polynomial p in t as the int p(2^B),
-read back from its base-2^B digits; ``tab_t`` proves by counting, as
+read back from its base-2^B digits and reduced with ``poly_gcd``, as
+prod [j]_t repeats cyclotomic factors; ``tab_t`` proves by counting, as
 arrows take distinct square columns, that no coefficient passes
-sum_{s<=l} C(l,s) s! C(s+k-1,k-1) (r+l)! < 2^B (39 bits at most for
+sum_{s<=l} C(l,s) s! C(s+k-1,k-1) (r+l-s)! < 2^B (22 bits at most for
 n <= 10).  Its ``factor(a, lo, hi)`` is prod_{lo<j<=hi} [j]_t,
 ``qt_factor`` at q = 1 over (1 - t)^(a + hi - lo), and ``divide`` drops
 (1 - t)^(hi - lo): every term of a tableau sum has a + hi - lo = top,
@@ -24,7 +27,7 @@ from typing import Callable, NamedTuple
 from ..errors import PoleError
 from .poly import MultiPoly
 from .qtx import QtxExpr
-from .ratfunc import RatFunc, qt_factor, t_factorial_ratio
+from .ratfunc import RatFunc, divide_by_brackets, qt_factor, t_factorial_ratio
 
 
 class Ring(NamedTuple):
@@ -38,7 +41,7 @@ class Ring(NamedTuple):
 SYMBOLIC = Ring(
     lambda coeff, exps: QtxExpr.x_monomial(exps, coeff),
     lambda a, lo, hi: QtxExpr.x_monomial((), qt_factor(a, lo, hi)),
-    lambda value, lo, hi: QtxExpr({xs: RatFunc(c, qt_factor(0, lo, hi)) for xs, c in value.coeffs.items()}),
+    lambda value, lo, hi: QtxExpr({xs: divide_by_brackets(c, lo, hi) for xs, c in value.coeffs.items()}),
 )
 
 # keys: G's interned polynomials with a width (a few hundred in a law-sweep pass)

@@ -152,13 +152,15 @@ def tab_t(mu: Word) -> RatFunc:
     # t_ring's width must pass every coefficient of the sum N.  None is
     # negative, so each is at most N(1), which counting bounds: at t = 1 a
     # row's terms add up to the orders of its arrows, and arrows take
-    # distinct square columns across rows, so a body counts at most the
-    # s <= l columns, C(l, s) ways, in s! orders cut into k rows' lists,
-    # C(s+k-1, k-1) ways (one way, with no column, when k = 0); a factor
-    # prod [j]_t is at most (r+l)!.
-    k, l = mu.k, mu.l
-    bodies = sum(comb(l, s) * factorial(s) * comb(s + k - 1, k - 1) for s in range(l + 1)) if k else 1
-    bound = bodies * factorial(mu.r + l)
+    # distinct square columns across rows, so the body of s arrows counts
+    # at most the s <= l columns, C(l, s) ways, in s! orders cut into k
+    # rows' lists, C(s+k-1, k-1) ways (only s = 0, one way, when k = 0);
+    # its factor prod_{r+l-top<j<=r+l-s} [j]_t is at most (r+l-s)!.
+    k, rl = mu.k, mu.r + mu.l
+    if k:
+        bound = sum(comb(mu.l, s) * factorial(s) * comb(s + k - 1, k - 1) * factorial(rl - s) for s in range(mu.l + 1))
+    else:
+        bound = factorial(rl)
     return _tableau_sum([build_diagram(mu)], t_ring(bound.bit_length()))
 
 

@@ -1,6 +1,7 @@
 """Exact arithmetic: polynomials, the rational-function field, brackets,
 canonical text and JSON round-trips."""
 
+import itertools
 import json
 import math
 import random
@@ -26,6 +27,7 @@ from crtasep.algebra import (
     t_factorial,
     to_json,
 )
+from crtasep.algebra.ratfunc import divide_by_brackets, qt_factor
 from crtasep.errors import ParseError, PoleError
 
 Q = MultiPoly.q
@@ -245,6 +247,36 @@ def test_gcd_of_high_degree_brackets():
     assert poly_gcd(d, d * (one - T()) ** 8) == d
     want = t_factorial(10) * (one + T(3))  # 1 + t^3 divides [12]_t, primitive, lc 1
     assert poly_gcd(t_factorial(14), want) == want
+
+
+t_polys = st.dictionaries(
+    st.tuples(st.just(0), st.integers(0, 4)), st.integers(-9, 9).filter(bool), min_size=1, max_size=4
+).map(MultiPoly)
+
+
+@st.composite
+def bracket_multiples(draw):
+    """(c, lo, hi), lo >= -1: c is a signed p, free of q or not, times the
+    brackets 1 - q t^j for j in lo < j <= hi and just outside it, each to
+    the power 0, 1 or 2."""
+    lo = draw(st.integers(-1, 3))
+    hi = draw(st.integers(lo, lo + 4))
+    c = draw(st.one_of(qt_polys(), t_polys))
+    for j in range(max(lo, 0), hi + 2):
+        c = c * (MultiPoly.one() - Q() * T(j)) ** draw(st.integers(0, 2))
+    return c, lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_multiples())
+@example((MultiPoly.one() - Q(), -1, 0))
+@example(((MultiPoly.one() - Q()) ** 2 * (MultiPoly.one() - Q() * T(2)) * (T(3) - 2), -1, 2))
+@example((-3 * T(2) + 5, 0, 3))
+@example((MultiPoly(), 0, 2))
+def test_divide_by_brackets_is_the_gcd_reduced_fraction(case):
+    c, lo, hi = case
+    got, want = divide_by_brackets(c, lo, hi), RatFunc(c, qt_factor(0, lo, hi))
+    assert (got.num, got.den) == (want.num, want.den)
 
 
 def _to_sympy(p):
@@ -473,6 +505,51 @@ def test_keys_equal_once_trimmed_add_up():
     one = RatFunc.one()
     assert QtxExpr({(1,): one, (1, 0): one}) == parse("2*x1")
     assert QtxExpr({(0, 1): one, (0, 1, 0, 0): -one}).is_zero()
+
+
+def _double_loop_product(a, b):
+    """a * b formed term by term, with no one-monomial shortcut."""
+    coeffs = {}
+    for xa, ca in a.coeffs.items():
+        for xb, cb in b.coeffs.items():
+            key = tuple(map(sum, itertools.zip_longest(xa, xb, fillvalue=0)))
+            coeffs[key] = coeffs[key] + ca * cb if key in coeffs else ca * cb
+    return QtxExpr(coeffs)
+
+
+poly_qtx_exprs = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), qt_polys(), max_size=4
+).map(QtxExpr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(qtx_exprs(nvars=2), poly_qtx_exprs),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    st.one_of(ratfuncs(), qt_polys()),
+)
+def test_product_with_one_monomial_matches_the_double_loop(e, xs, c):
+    m = QtxExpr.x_monomial(xs, c)
+    assert len(m.coeffs) == 1
+    assert (e * m).coeffs == _double_loop_product(e, m).coeffs
+    assert (m * e).coeffs == _double_loop_product(m, e).coeffs
+
+
+@settings(max_examples=50, deadline=None)
+@given(qt_polys())
+def test_product_with_the_one_is_the_operand(p):
+    one = MultiPoly.one()
+    assert one * p is p and p * one is p
+    assert p * MultiPoly.const(1) == p  # a one that is not the shared object
+    # one term by one term: one dict entry
+    assert (3 * Q(2) * T()) * (-2 * Q() * T(4)) == MultiPoly({(3, 5): -6})
+
+
+def test_x_monomial_trims_and_drops_a_zero_coefficient():
+    assert QtxExpr.x_monomial((1, 0, 2, 0, 0)).coeffs == {(1, 0, 2): RatFunc.one()}
+    assert QtxExpr.x_monomial((0, 0), T()).coeffs == {(): T()}
+    for zero in (RatFunc.zero(), MultiPoly.zero()):
+        assert QtxExpr.x_monomial((1, 2), zero).coeffs == {}
 
 
 def _json_doc(*terms):

@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from crtasep.algebra import MultiPoly, RatFunc, parse, poly_gcd, qt_factorial_ratio, qtx, ratfunc
-from crtasep.combinatorics import Word
+from crtasep.algebra import MultiPoly, QtxExpr, RatFunc, parse, poly_gcd, qt_factorial_ratio, qtx, ratfunc
+from crtasep.algebra.ratfunc import qt_factor
+from crtasep.algebra.rings import SYMBOLIC
+from crtasep.combinatorics import Word, build_diagram
 from crtasep.errors import DivergenceError, NoConvergence, PoleError, RelationViolation
 from crtasep.oracles.matrices import (
     MAX_SIZE,
@@ -25,7 +27,7 @@ from crtasep.oracles.matrices import (
 )
 from crtasep.oracles import matrices, recurrence
 from crtasep.oracles.recurrence import f_mu, omega, trace_by_recurrence, trace_rec_eval
-from crtasep.weights import macdonald_E, macdonald_P, stationary_prob, tab_qtx, tab_qtx_eval, tab_t
+from crtasep.weights import _tableau_sum, macdonald_E, macdonald_P, stationary_prob, tab_qtx, tab_qtx_eval, tab_t
 
 W = Word.from_string
 
@@ -148,9 +150,9 @@ def test_unknown_d_strategy_is_rejected_without_holes():
 
 
 def test_one_gcd_per_x_monomial_of_the_answer(monkeypatch):
-    # each kernel sums in Z[q, t][x] and divides once: RatFunc runs poly_gcd
-    # at most once per x-monomial of the answer, and tab_t and the stationary
-    # law (Tab_t over the integer Z) at most once
+    # each kernel sums in Z[q, t][x] and divides once: the symbolic ring
+    # divides bracket by bracket and runs no poly_gcd at all, and tab_t and
+    # the stationary law (Tab_t over the integer Z) run it exactly once
     calls = []
 
     def counting(a, b):
@@ -160,18 +162,33 @@ def test_one_gcd_per_x_monomial_of_the_answer(monkeypatch):
     monkeypatch.setattr(ratfunc, "poly_gcd", counting)
     for text in ("2110", "201021", "220110", "212000"):
         mu = W(text)
-        for kernel, bound in ((tab_t, lambda _: 1), (tab_qtx, len), (trace_by_recurrence, len)):
+        for kernel, want in ((tab_t, 1), (tab_qtx, 0), (trace_by_recurrence, 0)):
             calls.clear()
-            value = kernel(mu)
-            assert 0 < len(calls) <= bound(getattr(value, "coeffs", None)), (kernel.__name__, text, len(calls))
+            kernel(mu)
+            assert len(calls) == want, (kernel.__name__, text, len(calls))
     for text in ("2110", "21100", "221000"):
         calls.clear()
-        value = macdonald_P(W(text))
-        assert 0 < len(calls) <= len(value.coeffs), (text, len(calls))
+        macdonald_P(W(text))
+        assert len(calls) == 0, (text, len(calls))
     for text in ("2110", "201021", "20102010"):
         calls.clear()
         stationary_prob(W(text))
-        assert 0 < len(calls) <= 1, (text, len(calls))
+        assert len(calls) == 1, (text, len(calls))
+
+
+# the symbolic ring reducing each coefficient with poly_gcd, as RatFunc does
+# for arbitrary input
+GCD_SYMBOLIC = SYMBOLIC._replace(
+    divide=lambda value, lo, hi: QtxExpr({xs: RatFunc(c, qt_factor(0, lo, hi)) for xs, c in value.coeffs.items()})
+)
+
+
+def test_bracket_division_matches_the_gcd_route_on_every_word_to_n5():
+    for n in range(1, 6):
+        for letters in itertools.product((0, 1, 2), repeat=n):
+            mu = Word(letters)
+            assert tab_qtx(mu).coeffs == _tableau_sum([build_diagram(mu)], GCD_SYMBOLIC).coeffs, mu
+            assert trace_by_recurrence(mu).coeffs == recurrence._answer(mu, "max", GCD_SYMBOLIC).coeffs, mu
 
 
 def test_kernel_sums_coerce_no_int(monkeypatch):

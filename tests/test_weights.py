@@ -176,7 +176,7 @@ T_REFERENCE = Ring(
 )
 
 # n <= 10 sectors with many square columns to each row; tab_t's width bound
-# gives 27 bits for (4,0,6), 31 for (3,0,7), 22 for (5,0,5), 28 for (3,1,6)
+# gives 18 bits for (4,0,6), 20 for (3,0,7), 15 for (5,0,5), 18 for (3,1,6)
 WIDE_SECTORS = [(4, 0, 6), (3, 0, 7), (5, 0, 5), (3, 1, 6), (4, 1, 5), (5, 1, 4), (6, 0, 4)]
 
 
