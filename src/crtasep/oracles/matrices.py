@@ -21,15 +21,41 @@ Rows are independent: row i of the product depends on row i alone, and
 its column never passes i + #A0, #A0 the number of 0s in the word.  So rows
 below N - #A0 are exact, the same values from the same operations as in
 every larger truncation, and ``truncated_trace``, doubling N from
-``START_SIZE``, carries their running trace sum over: a trace that stops at
-N computes N + #A0 (doublings - 1) rows, not 2N - ``START_SIZE``.  A
-truncation to N rows is exact on entries (i, j) with i, j <= N-2 for a
+``START_SIZE``, carries their running float sum over.
+
+It also stops once later rows provably cannot change that sum.  Entry
+(i, i) is a sum over lattice paths from i back to i, which never go below
+row i - l (only A2 steps down, l the number of 2s).  Bounding each factor
+by its row sum gives |row i's addend| <= C rho^i, with rho = |q| t^r and
+
+  C = t^(-rl) prod_A0 (1 + |x|) prod_A1 max(1, |x|) prod_A2 max(1, x^2 + |x|);
+
+a row at a truncation's boundary sums a subset of the same paths, so the
+bound holds there too.  If s, the float sum of the rows below i, has
+8 C rho^i < ulp(s), rounding to nearest leaves s unchanged by every later
+addend: ulp(s)/4 is the smaller half-gap next to s (the gap below a power
+of two is halved), and the other factor 2 covers the rounding of the
+entries and of the bound.  Every truncation N with N - #A0 >= i then has
+the value s bit for bit, and the doubling comparison reads those values.
+The rule needs a float trace that cannot overflow, so it applies only
+where |q| <= 1 (else q^i overflows and 0 * inf is a NaN) and C < 2^1000
+(every factor of C is at least 1, so no partial product exceeds C), and
+only at |s| >= 2^-900 C (an underflowed partial product errs by at most
+C 2^-1074 per operation); elsewhere the plain doubling runs.  Exact rows
+are summed in chunks, ``FIRST_ROWS`` first and then up to the row where
+the bound predicts s settles, re-checked after each chunk; a chunk that
+would reach N - #A0 is left to the N-truncation.  Each ``product_trace``
+call computes its new exact rows and #A0 boundary rows, so a trace that
+ends with rows below i exact after c calls has computed i + #A0 c rows.
+
+A truncation to N rows is exact on entries (i, j) with i, j <= N-2 for a
 product of two bands, which is what the relation checks use.  Truncations
 are at most ``MAX_SIZE`` rows.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from operator import mul
@@ -128,6 +154,51 @@ def product_trace(mu: Word, q0, t0, xs, size: int, *, carry: list | None = None)
 REL_TOL = 1e-10  # numeric truncated_trace: agreement of successive truncations
 START_SIZE = 64
 MAX_SIZE = 1024
+FIRST_ROWS = 16  # exact rows summed before the tail bound predicts where the sum stops
+
+
+def _float(name: str, v: Fraction) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{name}={v} is out of float range; an exact truncation takes it") from None
+
+
+def _tail_bound(mu: Word, q: float, t: float, xs) -> tuple[float, float] | None:
+    """(log C, log rho) of the module docstring's bound on row i's addend,
+    C rho^i, or None where the float trace may overflow: |q| > 1, or
+    C >= 2^1000."""
+    if not (0 < t and abs(q) <= 1):
+        return None
+    log_t = math.log(t)
+    log_rho = (math.log(abs(q)) if q else -math.inf) + mu.r * log_t
+    log_c = -mu.r * mu.l * log_t
+    for a, x in zip(mu.letters, xs):
+        log_c += math.log1p(abs(x)) if a == 0 else math.log(max(1.0, x * x + abs(x) if a == 2 else abs(x)))
+    return (log_c, log_rho) if log_rho < 0 and log_c < 1000 * math.log(2) else None
+
+
+def _settled(mu: Word, point: tuple, carry: list, top: int, bound: tuple[float, float]) -> bool:
+    """Sum exact rows into ``carry`` in chunks, ``FIRST_ROWS`` and then each
+    to the row the bound predicts, while that row is below ``top``.  True
+    once no row from i = carry[0] on can change s = carry[1]: |s| >= 2^-900 C
+    and 8 C rho^i < ulp(s)."""
+    log_c, log_rho = bound
+    while True:
+        i, s = carry
+        if not i:
+            row = FIRST_ROWS
+        elif not (math.isfinite(s) and abs(s) >= math.exp(log_c) * 2.0**-900):
+            return False
+        else:
+            log_u = math.log(math.ulp(s) / 8)
+            if log_c + i * log_rho < log_u:
+                return True
+            row = math.floor(min(top, (log_u - log_c) / log_rho)) + 1
+        row = max(row, i + 1)  # every chunk advances
+        if row >= top:
+            return False
+        product_trace(mu, *point, row + mu.k, carry=carry)
 
 
 def truncated_trace(
@@ -143,7 +214,9 @@ def truncated_trace(
     trace of that single truncation (bit-exact debugging mode).  Otherwise
     doubles the truncation from ``START_SIZE`` until two successive values
     agree within ``REL_TOL`` relative and returns a float, giving up above
-    ``MAX_SIZE``.
+    ``MAX_SIZE``.  Once later rows provably cannot change the float sum of
+    the rows so far (see the module docstring), every larger truncation's
+    value is that sum and no more rows are computed.
     """
     if size is not None and not 1 <= size <= MAX_SIZE:
         raise ValueError(f"truncation size must be at least 1 and at most {MAX_SIZE}, got {size}")
@@ -155,10 +228,12 @@ def truncated_trace(
         raise DivergenceError(f"need 0 < t0 < 1 and |q0 t0^r| < 1, got q0={q0}, t0={t0}, r={mu.r}")
     if size is not None:
         return product_trace(mu, q0, t0, xs, size)
-    fq, ft, fxs = float(q0), float(t0), tuple(float(v) for v in xs)
-    previous, carry, n = None, [0, 0], START_SIZE
+    point = (_float("q0", q0), float(t0), tuple(_float(f"x{j}", v) for j, v in enumerate(xs, 1)))
+    bound = _tail_bound(mu, *point)
+    previous, carry, n, settled = None, [0, 0], START_SIZE, False
     while n <= MAX_SIZE:
-        value = product_trace(mu, fq, ft, fxs, n, carry=carry)
+        settled = settled or (bound is not None and _settled(mu, point, carry, n - mu.k, bound))
+        value = carry[1] if settled else product_trace(mu, *point, n, carry=carry)
         if previous is not None and abs(value - previous) <= REL_TOL * max(1.0, abs(value)):
             return value
         previous = value

@@ -148,6 +148,19 @@ def test_oversized_trunc_exits_2(capsys):
         assert f"at most {MAX_SIZE}" in err and "Traceback" not in err
 
 
+def test_numeric_trace_past_float_range_exits_2(capsys):
+    # the adaptive trace runs in floats; the exact --trunc N takes any rational
+    for argv, name in (
+        (("trace", "0212", "--numeric", "1/3", "1/2", "--x", "1e400", "1", "1", "1"), "x1="),
+        (("trace", "1", "--numeric", "1e400", "1e-401"), "q0="),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert name in err and "out of float range" in err and "Traceback" not in err, argv
+        code, out, err = run(capsys, *argv, "--trunc", "8")
+        assert code == 0 and "/" in out and err == "", argv
+
+
 def test_trace_options_without_numeric_exit_2(capsys):
     for option in (["--trunc", "5"], ["--x", "1", "2"]):
         code, out, err = run(capsys, "trace", "201", *option)

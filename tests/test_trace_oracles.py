@@ -499,16 +499,56 @@ def test_rows_below_size_minus_a0_count_are_shared_by_larger_truncations():
                 assert (got, type(got)) == (want, type(want)), (letters, size)
 
 
-def test_truncated_trace_calls_product_trace_once_per_doubling(monkeypatch):
-    sizes = []
+def test_a_settled_trace_computes_fewer_rows_than_one_start_size_truncation(monkeypatch):
+    # rows computed = each call's size less the exact rows it was handed
+    rows = []
 
-    def recorded(*args, **kwargs):
-        sizes.append(args[4])
-        return product_trace(*args, **kwargs)
+    def recorded(mu, q0, t0, xs, size, *, carry=None):
+        rows.append(size - (carry[0] if carry else 0))
+        return product_trace(mu, q0, t0, xs, size, carry=carry)
 
+    mu, q0, t0, xs = W("0212"), Fraction(1, 3), Fraction(1, 2), (Fraction(1),) * 4
     monkeypatch.setattr(matrices, "product_trace", recorded)
-    truncated_trace(W("0212"), Fraction(1, 3), Fraction(1, 2))
-    assert sizes == [START_SIZE, 2 * START_SIZE]
+    got = truncated_trace(mu, q0, t0, xs)
+    monkeypatch.undo()
+    assert 0 < sum(rows) < START_SIZE
+    assert got.hex() == _doubled_fresh_trace(mu, q0, t0, xs).hex()
+
+
+# (word, q0, t0, xs, .hex() of the trace or the exception), recorded with
+# the doubling alone, before the tail bound stopped it early
+PLAIN_DOUBLING_OUTPUTS = [
+    # settles below START_SIZE - #A0
+    ("0212", Fraction(1, 9), Fraction(1, 2), ("3/2", "1/2", "5/4", "2/3"), "0x1.d60ce8560ce85p-2"),
+    # settles between START_SIZE - #A0 and 2 START_SIZE - #A0
+    ("000220", Fraction(3, 5), Fraction(1, 4), ("11/10", "13/10", "1/2", "7/10", "9/10", "6/5"),
+     "0x1.edb02ec9513abp+3"),
+    # never settles: rho = 0.99 needs thousands of rows
+    ("22", Fraction(99, 100), Fraction(999, 1000), ("1", "1"), NoConvergence),
+    # negative q0 and negative x
+    ("0212", Fraction(-1, 3), Fraction(1, 2), ("-1/2", "3/2", "-2", "1"), "-0x1.68ca8ca8ca8cdp+1"),
+    # t0^(r l) = 10^-400 underflows, so C is past the bound's range
+    ("1122", Fraction(1, 3), Fraction(1, 10**100), ("1", "1", "1", "1"), "0x1.0000000000000p+0"),
+    # |q0| > 1: q0^i overflows, 0 * inf is a NaN, and the doubling gives up
+    ("02111", Fraction(59319, 10), Fraction(1, 39), ("29/10", "3/10", "6/5", "4", "13/10"), NoConvergence),
+    # a subnormal trace, below the floor |s| >= 2^-900 C
+    ("1", Fraction(0), Fraction(1, 2), ("1e-310",), "0x0.012688b70e62bp-1022"),
+]
+
+
+@pytest.mark.parametrize("letters, q0, t0, xs, want", PLAIN_DOUBLING_OUTPUTS)
+def test_the_tail_bound_keeps_the_plain_doubling_outputs(letters, q0, t0, xs, want):
+    xs = tuple(Fraction(x) for x in xs)
+    if isinstance(want, str):
+        assert truncated_trace(W(letters), q0, t0, xs).hex() == want
+    else:
+        with pytest.raises(want):
+            truncated_trace(W(letters), q0, t0, xs)
+
+
+def test_a_zero_trace_stays_the_integer_zero():
+    got = truncated_trace(W("2"), Fraction(1, 3), Fraction(1, 2), (Fraction(0),))
+    assert (got, type(got)) == (0, int)
 
 
 def test_a_trace_that_never_settles_runs_every_doubling_then_gives_up():
