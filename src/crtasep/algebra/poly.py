@@ -345,9 +345,11 @@ def _zgcd(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
             return g * math.gcd(ca, cb)
 
 
-# Bound on the memoised gcds.  One benchmark pass at seed 1 makes 637 calls and
-# 32 misses (qtx-symbolic), 770 and 99 (law-sweep), 732 and 50 (markov-exact),
-# none (point-sweep): room for far larger sweeps, and no growth for good.
+# Bound on the memoised gcds.  No benchmark workload calls poly_gcd (a pass at
+# seed 1 makes 0 calls on each), as every tableau and trace sum divides with
+# no gcd; the calls come from RatFunc arithmetic on arbitrary input, such as
+# the verify suites' sums and specialisations: room for large sweeps, and no
+# growth for good.
 GCD_CACHE_SIZE = 1 << 13
 
 

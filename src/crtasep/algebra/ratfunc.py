@@ -179,10 +179,15 @@ class RatFunc(Arithmetic):
     # -- evaluation and substitution -------------------------------------
 
     def evaluate(self, q0, t0) -> Fraction:
-        d = self.den.evaluate(q0, t0)
-        if d == 0:
+        """The value at q0 = a/b, t0 = c/e as one ``Fraction``: the two scaled
+        values, over b^Dq e^Dt each, brought to one power of b and of e."""
+        (a, b), (c, e) = Fraction(q0).as_integer_ratio(), Fraction(t0).as_integer_ratio()
+        num, nq, nt = self.num.scaled_value(a, b, c, e)
+        den, dq, dt = self.den.scaled_value(a, b, c, e)
+        if not den:
             raise PoleError(f"denominator vanishes at q={q0}, t={t0}")
-        return self.num.evaluate(q0, t0) / d
+        sq, st = dq - nq, dt - nt
+        return Fraction(num * b ** max(sq, 0) * e ** max(st, 0), den * b ** max(-sq, 0) * e ** max(-st, 0))
 
     def subs_q(self, q0) -> "RatFunc":
         """Substitute a/b for q; numerator and denominator both take a factor

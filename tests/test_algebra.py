@@ -410,6 +410,22 @@ def test_poly_evaluate_is_the_termwise_sum(p, q0, t0):
     assert p.evaluate(q0, t0).denominator == want.denominator
 
 
+@settings(max_examples=200, deadline=None)
+@given(qt_polys(), qt_polys(), points, points)
+@example(Q(2) * T() + 3, T(4) - Q(), Fraction(-2, 3), Fraction(-5, 7))  # q-degree 2 over t-degree 4
+@example(T(3) - 1, Q(3) + T(), Fraction(-3, 2), Fraction(1, 5))
+@example(Q() + T(), Q() * T() - 1, Fraction(-2), Fraction(-1, 2))  # a pole
+def test_ratfunc_evaluate_is_the_quotient_of_the_values(num, den, q0, t0):
+    # one Fraction from the two scaled values: the same value, or the same PoleError
+    r = RatFunc._reduced(num, den)
+    d = r.den.evaluate(q0, t0)
+    if d == 0:
+        with pytest.raises(PoleError, match=f"denominator vanishes at q={q0}, t={t0}"):
+            r.evaluate(q0, t0)
+    else:
+        assert r.evaluate(q0, t0) == r.num.evaluate(q0, t0) / d
+
+
 def test_evaluate_multiplicative():
     e1 = parse("x1^2+q*t*x2")
     e2 = parse("(1-t)/(1-q*t^2)*x1*x2+3")

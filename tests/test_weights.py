@@ -8,7 +8,7 @@ no row factorisation) guard the production paths.
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +26,7 @@ from crtasep.algebra import (
     t_bracket,
     t_factorial_ratio,
 )
+from crtasep.algebra import ratfunc, rings
 from crtasep.algebra.ratfunc import qt_factor
 from crtasep.algebra.rings import Ring, point_ring, t_ring
 from crtasep import combinatorics, weights
@@ -212,6 +213,93 @@ def test_packed_width_must_pass_every_coefficient(monkeypatch):
         packed = lambda width: _tableau_sum([build_diagram(mu)], t_ring(width))
         assert packed(fits) == want
         assert packed(fits - 1) != want, text
+
+
+def gcd_t_ring(width):
+    """t_ring reading N's digits into a MultiPoly and reducing it over
+    prod [j]_t with poly_gcd, as RatFunc does for arbitrary input."""
+    mask = (1 << width) - 1
+
+    def divide(value, lo, hi):
+        n = MultiPoly({(0, e): value >> width * e & mask for e in range(-(-value.bit_length() // width))})
+        return RatFunc(n, t_factorial_ratio(lo, hi).den)
+
+    return t_ring(width)._replace(divide=divide)
+
+
+def test_cyclotomic_division_matches_the_gcd_route(monkeypatch):
+    every_word_to_n6 = [Word(ls) for n in range(1, 7) for ls in itertools.product((0, 1, 2), repeat=n)]
+    words = every_word_to_n6 + list(wide_and_sampled_words())
+    got = [tab_t(mu) for mu in words]
+    monkeypatch.setattr(weights, "t_ring", gcd_t_ring)
+    for mu, value in zip(words, got):
+        want = tab_t(mu)
+        assert (value.num.terms, value.den.terms) == (want.num.terms, want.den.terms), mu
+
+
+def phi(d):
+    return MultiPoly({(0, e): c for e, c in enumerate(rings.cyclotomic(d))})
+
+
+@pytest.mark.parametrize(
+    "text, kept, signed",
+    [
+        ("02222", (), False),  # (0, 4]: Phi_2 twice, then Phi_3 and Phi_4, all divide
+        ("01222", (2,), False),  # (1, 4]: Phi_2 once of its two
+        ("011102", (4,), True),  # (3, 4]: Phi_2 leaves signed digits, on which Phi_4 fails
+        ("0112222", (3,), True),  # (2, 6]: Phi_2 twice, Phi_3 once of two, Phi_5 leaves signed digits
+    ],
+)
+def test_cyclotomic_division_named_cases(monkeypatch, text, kept, signed):
+    quotients = []
+    divmod_monic = rings._divmod_monic
+
+    def spy(p, m):
+        out = divmod_monic(p, m)
+        quotients.append(out[0])
+        return out
+
+    monkeypatch.setattr(rings, "_divmod_monic", spy)
+    got = tab_t(W(text))
+    assert got.den == prod(map(phi, kept), start=MultiPoly.one())
+    assert any(min(q, default=0) < 0 for q in quotients) == signed
+    monkeypatch.setattr(weights, "t_ring", gcd_t_ring)
+    assert got == tab_t(W(text))
+
+
+def test_cyclotomic_polynomials():
+    t = MultiPoly.t
+    assert phi(6) == t(2) - t() + 1
+    assert phi(8) == t(4) + 1
+    for j in range(1, 11):
+        assert prod((phi(d) for d in range(1, j + 1) if j % d == 0), start=MultiPoly.one()) == t(j) - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=8).filter(any),
+    st.lists(st.integers(1, 8), max_size=4),
+    st.integers(0, 4),
+    st.integers(0, 5),
+)
+def test_cyclotomic_division_of_signed_digits(coeffs, brackets, lo, span):
+    # N = c * prod [j]_t over some j, any signs, over prod_{lo<j<=hi} [j]_t
+    n = MultiPoly({(0, e): c for e, c in enumerate(coeffs)}) * prod(map(t_bracket, brackets), start=MultiPoly.one())
+    digits = [n.terms.get((0, e), 0) for e in range(n.degree_t() + 1)]
+    got = rings._cyclotomic_divide(digits, lo, lo + span)
+    want = RatFunc(n, t_factorial_ratio(lo, lo + span).den)
+    assert (got.num.terms, got.den.terms) == (want.num.terms, want.den.terms)
+
+
+def test_tab_t_and_the_law_make_no_gcd(monkeypatch):
+    def forbidden(a, b):
+        raise AssertionError("no gcd or exact division on the tab_t route")
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", forbidden)
+    monkeypatch.setattr(ratfunc, "poly_divexact", forbidden)
+    for text in ("02222", "0112222", "2020202020", "221100"):
+        tab_t(W(text))
+        stationary_prob(W(text))
 
 
 def test_numeric_twins_match_symbolic():
