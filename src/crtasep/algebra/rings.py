@@ -137,8 +137,8 @@ class _Table(dict):
 
 class _Scaled:
     """A point ring's value v / L^k, L the ring's common denominator, as two
-    ints; ``power`` is the ring's table d -> L^d.  ``+`` brings both to the
-    larger k, ``*`` adds the k's."""
+    ints; ``power`` is the ring's table d -> L^d.  ``+`` adds the v's of
+    equal k's and else brings both to the larger k, ``*`` adds the k's."""
 
     __slots__ = ("v", "k", "power")
 
@@ -146,6 +146,8 @@ class _Scaled:
         self.v, self.k, self.power = v, k, power
 
     def __add__(self, other: _Scaled) -> _Scaled:
+        if self.k == other.k:
+            return _Scaled(self.v + other.v, self.k, self.power)
         hi, lo = (self, other) if self.k >= other.k else (other, self)
         return _Scaled(hi.v + lo.v * self.power[hi.k - lo.k], hi.k, self.power)
 
@@ -157,8 +159,7 @@ def point_ring(q0, t0, xs, n: int) -> Ring:
     """The values at q = q0, t = t0 and the n values x = xs, exact.  With L
     the lcm of their denominators, Q = q0 L, T = t0 L and X_i = x_i L are
     ints, and every value up to ``divide`` is an int over a power of L."""
-    q0, t0 = Fraction(q0), Fraction(t0)
-    xs = tuple(Fraction(v) for v in xs)
+    q0, t0, *xs = (v if isinstance(v, Fraction) else Fraction(v) for v in (q0, t0, *xs))
     if len(xs) != n:
         raise ValueError(f"need {n} x-values")
     L = lcm(q0.denominator, t0.denominator, *(x.denominator for x in xs))

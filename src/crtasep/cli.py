@@ -148,9 +148,6 @@ def _main(argv) -> int:
     except (PoleError, DivergenceError, NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RecursionError:
-        print("error: word too long for the recurrence", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -110,18 +110,22 @@ def _add_rows(total, diagonal, qpowers):
 def product_trace(mu: Word, q0, t0, xs, size: int, *, carry: list | None = None) -> Fraction:
     """Exact trace of the N-truncation of A_{mu_1}(x_1)...A_{mu_n}(x_n) S:
     from the identity, each factor in turn is applied to the product's
-    diagonals.  ``carry`` is [k, s] from a smaller truncation of the same
-    word and point: rows below k are taken as summed into s, and on return
-    it holds the rows below size - #A0, which every larger truncation shares."""
+    diagonals.  ``carry`` is [k, s, t powers, q powers] from a smaller
+    truncation of the same word and point: rows below k are taken as summed
+    into s, and on return it holds the rows below size - #A0, which every
+    larger truncation shares; the power lists [1, t0, t0^2, ...] grow in
+    place, each power from the last, so they are those of a fresh call."""
     one = 1.0 if isinstance(q0, float) else 1
-    lo, total = carry or (0, 0)  # an all-zero trace stays the integer 0
+    lo, total, *powers = carry or (0, 0, [one], [one])  # an all-zero trace stays the integer 0
+    for grown, base in zip(powers, (t0, q0)):
+        grown += islice(accumulate(repeat(base, size - len(grown)), mul, initial=grown[-1]), 1, None)
     # row lo + r is entry r; a factor's weight at row or column j sits at
     # off + j - lo, zero-padded where j < 0 or j >= size, and a kept
     # diagonal has |d| < n and reads j = i + d - 1 to i + d + 1
     off = mu.n + 1
     first, pad = max(0, lo - off), [0] * off
     head, zeros = [0] * (first - lo + off), [0] * (size - lo)  # zeros: a diagonal the product lacks
-    tpowers = _powers(t0, one, size)[first:]
+    tpowers = powers[0][first:size]
     prod = {0: [one] * (size - lo)}
     for j, (a, x) in enumerate(zip(mu.letters, xs)):
         rest = mu.letters[j + 1 :]  # the A0s and A2s still to come
@@ -143,11 +147,11 @@ def product_trace(mu: Word, q0, t0, xs, size: int, *, carry: list | None = None)
                 for d in keep
                 if d in prod or d + 1 in prod
             }
-    qpowers = _powers(q0, one, size)[lo:]
+    qpowers = powers[1][lo:size]
     split = max(0, size - mu.k - lo)  # rows from size - #A0 on can reach column size
     total = _add_rows(total, prod[0][:split], qpowers)
     if carry is not None:
-        carry[:] = lo + split, total
+        carry[:2] = lo + split, total
     return _add_rows(total, prod[0][split:], qpowers[split:])
 
 
@@ -185,7 +189,7 @@ def _settled(mu: Word, point: tuple, carry: list, top: int, bound: tuple[float, 
     and 8 C rho^i < ulp(s)."""
     log_c, log_rho = bound
     while True:
-        i, s = carry
+        i, s = carry[:2]
         if not i:
             row = FIRST_ROWS
         elif not (math.isfinite(s) and abs(s) >= math.exp(log_c) * 2.0**-900):
@@ -220,8 +224,8 @@ def truncated_trace(
     """
     if size is not None and not 1 <= size <= MAX_SIZE:
         raise ValueError(f"truncation size must be at least 1 and at most {MAX_SIZE}, got {size}")
-    q0, t0 = Fraction(q0), Fraction(t0)
-    xs = tuple(Fraction(v) for v in xs) if xs is not None else (Fraction(1),) * mu.n
+    q0, t0 = (v if isinstance(v, Fraction) else Fraction(v) for v in (q0, t0))
+    xs = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in xs) if xs is not None else (Fraction(1),) * mu.n
     if len(xs) != mu.n:
         raise ValueError(f"need {mu.n} x-values")
     if not (0 < t0 < 1) or abs(q0 * t0**mu.r) >= 1:
@@ -230,7 +234,7 @@ def truncated_trace(
         return product_trace(mu, q0, t0, xs, size)
     point = (_float("q0", q0), float(t0), tuple(_float(f"x{j}", v) for j, v in enumerate(xs, 1)))
     bound = _tail_bound(mu, *point)
-    previous, carry, n, settled = None, [0, 0], START_SIZE, False
+    previous, carry, n, settled = None, [0, 0, [1.0], [1.0]], START_SIZE, False
     while n <= MAX_SIZE:
         settled = settled or (bound is not None and _settled(mu, point, carry, n - mu.k, bound))
         value = carry[1] if settled else product_trace(mu, *point, n, carry=carry)

@@ -7,20 +7,22 @@ factorial ratio [rl-|I|]!/[rl]! times x_I^2 x_d / x_{last deleted} times
 t^dis q^rec of the order (0 inserted at the rank of d), times the trace of
 the word with I and d removed, labels kept; rl counts the nonzero letters.
 A word without holes has trace x^mu / (1 - q t^r).  Peeling never removes a
-1, so r is constant and the ratios telescope: the recursion computes the
-integral N(w) = (1 - q t^r) tr(w) prod_{r<j<=rl(w)} (1 - q t^j), the sum of
-(1 - t)^|I| N(w minus I and d) acc(I, sigma), or x^mu prod_{r<j<=r+l}
-(1 - q t^j) without holes; each entry divides once by prod_{r<=j<=r+l}.
+1, so r is constant and the ratios telescope into the integral
+N(w) = (1 - q t^r) tr(w) prod_{r<j<=rl(w)} (1 - q t^j), the sum of
+(1 - t)^|I| acc(I) N(w minus I and d), or x^mu prod_{r<j<=r+l} (1 - q t^j)
+without holes; each entry point divides once by prod_{r<=j<=r+l}.
 
-The recurrence is written once, over a coefficient ``Ring`` from
-``algebra.rings``: ``SYMBOLIC`` gives the trace in Q(q,t)[x], ``point_ring``
-its value at one exact point.  Each I gives one term per last deleted position,
-its orders' q^rec t^dis as one polynomial from ``combinatorics.reading_stats``,
-the tableau kernel's table; sums start from their first term, in the ring.
-Each top-level call has its own memo, freed on return: one memo shared over
-a ``verify recurrence`` sweep gained little time (n = 7: 18.1 s vs 21.2 s)
-for three times the peak (80 MB vs 27 MB).  ``omega`` normalises the trace
-in ``f_mu``.  Like every oracle, this reads nothing of ``weights``.
+With the zeros in a fixed order (``d_strategy``), a word on the way is mu
+less the zeros peeled and U, the 2s removed, so N(mu) unrolls into a sum
+over chains {} = U_0 <= ... <= U_k (k zeros) of each step's (1 - t)^|I|
+acc(I), I = U_j minus U_{j-1}, times U_k's base term.  ``_trace`` sums it
+forward, one layer {U: the sum over chains ending in U} at a time: nothing
+recurses, with as many ring products and sums as the memoised recursion.
+It is written once, over a ``Ring`` from ``algebra.rings`` (``SYMBOLIC``:
+Q(q,t)[x], ``point_ring``: one exact point).  Each I gives one term per last
+deleted position, its orders' q^rec t^dis from ``combinatorics.reading_stats``,
+the tableau kernel's table; sums start from their first term.  ``omega``
+normalises the trace in ``f_mu``; this reads nothing of ``weights``.
 """
 
 from __future__ import annotations
@@ -32,9 +34,7 @@ from ..algebra import MultiPoly, QtxExpr, RatFunc
 from ..algebra.rings import SYMBOLIC, Ring, point_ring
 from ..combinatorics import Word, reading_stats
 
-Labeled = tuple[tuple[int, int], ...]  # ((label, letter), ...)
-
-# Never filled (the memo is per call); bench/child.py and bench/layers.py read it.
+# Never filled (the pass keeps nothing between calls); bench/child.py and bench/layers.py read it.
 _SYMBOLIC_CACHE: dict = {}
 
 
@@ -42,8 +42,7 @@ def _answer(mu: Word, d_strategy: str, ring: Ring):
     """tr(mu) in the ring: N(mu) over prod_{r<=j<=r+l} (1 - q t^j)."""
     if d_strategy not in ("max", "min"):
         raise ValueError(f"unknown d strategy {d_strategy!r}")
-    labeled = tuple(enumerate(mu.letters, start=1))
-    return ring.divide(_trace(labeled, d_strategy, ring, {}), mu.r - 1, mu.r + mu.l)
+    return ring.divide(_trace(mu, d_strategy, ring), mu.r - 1, mu.r + mu.l)
 
 
 def trace_by_recurrence(mu: Word, d_strategy: str = "max") -> QtxExpr:
@@ -61,39 +60,39 @@ def trace_rec_eval(mu: Word, q0, t0, xs, d_strategy: str = "max") -> Fraction:
     return _answer(mu, d_strategy, point_ring(q0, t0, xs, mu.n))
 
 
-def _trace(labeled: Labeled, strategy: str, ring: Ring, memo: dict):
-    """N(w) of a labeled word w, r its number of 1s."""
-    if labeled in memo:
-        return memo[labeled]
-
-    n_top = max((lab for lab, _ in labeled), default=1)
-    ea = [lab for lab, a in labeled if a != 0]
-    if len(ea) == len(labeled):  # no holes: closed form
-        exps = [0] * n_top
-        for lab, a in labeled:
-            exps[lab - 1] = a  # x once per 1, squared per 2
-        memo[labeled] = ring.term(MultiPoly.one(), exps) * ring.factor(0, exps.count(1), len(ea))
-        return memo[labeled]
-
-    d = (max if strategy == "max" else min)(lab for lab, a in labeled if a == 0)
-    ee = [lab for lab, a in labeled if a == 2]
+def _trace(mu: Word, strategy: str, ring: Ring):
+    """N(mu): the chain sums over U peel by peel, then over the base terms."""
+    n, positions = mu.n, list(enumerate(mu.letters, start=1))
+    zeros, nonzero, twos = ([c for c, a in positions if a in kind] for kind in ((0,), (1, 2), (2,)))
+    layer = {0: None}  # U as a bitmask over labels -> its chains' sum; None is the empty chain's 1
+    for d in reversed(zeros) if strategy == "max" else zeros:
+        following = {}
+        for removed, chains in layer.items():
+            universe = [c for c in nonzero if not removed >> c & 1]
+            free = [c for c in twos if not removed >> c & 1]
+            for s in range(len(free) + 1):
+                scale = ring.factor(s, 0, 0)
+                for subset in itertools.combinations(free, s):
+                    exps, key = [0] * n, removed
+                    for c in subset:
+                        exps[c - 1], key = 2, key | 1 << c
+                    exps[d - 1] = 1
+                    acc = None
+                    for last, coeff in reading_stats(subset, universe, d):
+                        i = (d if last is None else last) - 1  # the last deleted position
+                        exps[i] -= 1
+                        v = ring.term(coeff, exps)
+                        exps[i] += 1
+                        acc = v if acc is None else acc + v
+                    v = acc * scale if chains is None else chains * (acc * scale)
+                    following[key] = following[key] + v if key in following else v
+        layer = following
     total = None
-    for s in range(0, len(ee) + 1):
-        for subset in itertools.combinations(ee, s):
-            removed = set(subset) | {d}
-            sub = tuple(entry for entry in labeled if entry[0] not in removed)
-            acc = None
-            for last, coeff in reading_stats(subset, ea, d):
-                exps = [0] * n_top
-                for c in subset:
-                    exps[c - 1] += 2
-                exps[d - 1] += 1
-                exps[(d if last is None else last) - 1] -= 1  # the last deleted position
-                v = ring.term(coeff, exps)
-                acc = v if acc is None else acc + v
-            v = _trace(sub, strategy, ring, memo) * (acc * ring.factor(s, 0, 0))
-            total = v if total is None else total + v
-    memo[labeled] = total
+    for removed, chains in layer.items():
+        exps = [0 if removed >> c & 1 else a for c, a in positions]
+        v = ring.term(MultiPoly.one(), exps) * ring.factor(0, mu.r, n - exps.count(0))
+        v = v if chains is None else chains * v
+        total = v if total is None else total + v
     return total
 
 

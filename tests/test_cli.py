@@ -258,10 +258,9 @@ def test_long_states_word_needs_no_recursion(capsys):
     assert code == 0 and out == "0" * 1100 + "\n" and err == ""
 
 
-def test_word_too_long_for_the_recurrence_exits_3(capsys):
+def test_long_trace_word_needs_no_recursion(capsys):
     code, out, err = run(capsys, "trace", "0" * 1100)
-    assert code == 3 and out == ""
-    assert err.startswith("error:") and "too long" in err and "Traceback" not in err
+    assert code == 0 and out == "(-1)/(q-1)\n" and err == ""
 
 
 COMMANDS = (

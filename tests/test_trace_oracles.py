@@ -239,6 +239,17 @@ def test_trace_identity_numeric_n7():
     assert lhs == tab_qtx_eval(mu, q0, t0, xs)
 
 
+def test_trace_identity_on_a_word_deeper_than_the_recursion_limit():
+    # 1,100 zeros: one peel per zero, past Python's default recursion limit
+    # of 1,000, and a 2 on each side of half of them
+    mu = W("0" * 550 + "2" + "0" * 550 + "12")
+    q0, t0 = Fraction(1, 3), Fraction(1, 2)
+    xs = tuple(Fraction(50 + i % 100, 100) for i in range(mu.n))
+    want = tab_qtx_eval(mu, q0, t0, xs)
+    for strategy in ("max", "min"):
+        assert (1 - q0 * t0**mu.r) * trace_rec_eval(mu, q0, t0, xs, strategy) == want
+
+
 def test_f_mu():
     # for partitions with largest part 2 the scalar matches and f = E
     for text in ("20", "210", "2110", "221100"):
@@ -492,7 +503,7 @@ def test_rows_below_size_minus_a0_count_are_shared_by_larger_truncations():
                 exact = size - letters.count(0)
                 small, large = (_diagonal_terms(mu, q0, t0, xs[:n], m) for m in (size, 2 * size))
                 assert small[: max(0, exact)] == large[: max(0, exact)], (letters, size)
-                carry = [0, 0]
+                carry = [0, 0, [1], [1]]  # rows, their sum, the powers of t0 and of q0
                 product_trace(mu, q0, t0, xs[:n], size, carry=carry)
                 assert carry[0] == max(0, exact)
                 got, want = product_trace(mu, q0, t0, xs[:n], 2 * size, carry=carry), sum(large)

@@ -343,6 +343,25 @@ def test_point_ring_caches_the_value_of_each_coefficient(coeff, q0, t0):
     assert value((0, 0)) == want
 
 
+def test_scaled_sums_and_products_are_those_of_fractions():
+    # v / L^k: + with equal k adds the v's, with unequal k scales the lower
+    # one up; * adds the k's
+    rng = random.Random(27)
+    equal = 0
+    for _ in range(400):
+        L = rng.randint(2, 40)
+        power = rings._Table(L.__pow__)
+        a, b = (rings._Scaled(rng.randint(-(10**9), 10**9), rng.randint(0, 5), power) for _ in range(2))
+        if rng.random() < 0.5:
+            b.k = a.k
+        equal += a.k == b.k
+        value = lambda s: Fraction(s.v, L**s.k)
+        assert value(a + b) == value(b + a) == value(a) + value(b)
+        assert (a + b).k == max(a.k, b.k)
+        assert value(a * b) == value(a) * value(b)
+    assert 150 < equal < 350
+
+
 def test_partition_function_values():
     # no holes: every word weighs 1, so Z counts the states
     assert partition_function(0, 2, 2) == RatFunc.const(comb(4, 2))
