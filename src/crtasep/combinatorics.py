@@ -14,15 +14,16 @@ Conventions, fixed once and used by every weight formula:
   row label would occupy among the column labels.  Arrows are recorded by
   their order label, rhombic tiles and free square tiles by a star, and
   empty square tiles with an arrow strictly below are omitted.  One builder,
-  ``partial_perms``, makes every reading; both kernels read its statistics
-  from ``reading_stats``, a table G filled once per layout.
+  ``partial_perms``, makes every reading (``row_reading`` and the tests use
+  it); both kernels read the readings' statistics from ``reading_stats``, a
+  table G filled once per layout by a placement DP that enumerates no
+  orders.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -369,15 +370,40 @@ _INTERNED = {MultiPoly.one(): MultiPoly.one()}  # equal polynomials of G share o
 
 def reading_stats(labels: Sequence[int], universe: Sequence[int], d: int):
     """(c, the sum of q^rec t^dis over the orders of ``partial_perms(labels,
-    universe, d)`` that end in c) for each label c ascending; (None, 1) if none."""
+    universe, d)`` that end in c) for each label c ascending; (None, 1) if none.
+    A missing entry is filled by ``_placements``: with s labels, about
+    s^2 2^s DP steps, each over the statistics kept so far, not s! orders."""
     labels = sorted(labels)
     key = (len(universe) + 1, bisect_left(universe, d), *[bisect_left(universe, c) + (c > d) for c in labels])
     entry = _READING_STATS.get(key)
     if entry is None:
-        counts = {c: Counter() for c in labels or (None,)}
-        for order, reading in partial_perms(labels, universe, d):
-            counts[order[-1] if order else None][recoils(reading), disorder(reading)] += 1
-        entry = tuple([MultiPoly(g) for g in counts.values()])
+        entry = tuple([MultiPoly(g) for g in _placements(*key)])
         if len(_READING_STATS) < READING_STATS_CAP:
             entry = _READING_STATS[key] = tuple([_INTERNED.setdefault(p, p) for p in entry])
     return zip(labels or (None,), entry)
+
+
+def _placements(m: int, zero: int, *slots: int) -> list[dict[tuple[int, int], int]]:
+    """The {(rec, dis): count} of the orders that place labels 1, 2, ... on
+    ``slots`` of a reading of length m with the 0 at ``zero``, one map per
+    last slot ascending.  A DP over (the slots placed so far and the 0's, as
+    a bitmask; the last one): placing label i at p after label i-1 at p0
+    adds a recoil when p < p0, and to the disorder the cells strictly
+    between them, walking right from p0 cyclically, that are not placed:
+    the stars and the slots of the labels above i."""
+    full = (1 << m) - 1
+    layer = {(1 << zero, zero): {(0, 0): 1}}
+    for _ in slots:
+        after: dict[tuple[int, int], dict] = {}
+        for (placed, p0), stats in layer.items():
+            for p in slots:
+                if placed >> p & 1:
+                    continue
+                between = full + (1 << p) - (2 << p0) if p < p0 else (1 << p) - (2 << p0)
+                rec, dis = int(p < p0), (between & ~placed).bit_count()
+                out = after.setdefault((placed | 1 << p, p), {})
+                for (r, e), c in stats.items():
+                    key = (r + rec, e + dis)
+                    out[key] = out.get(key, 0) + c
+        layer = after
+    return [stats for _, stats in sorted(layer.items())]

@@ -1,10 +1,15 @@
 """Exact Markov-chain oracle: the ring-process transition matrix and its
 stationary distribution.
 
+`build_transition_matrix` reads each state's moves from one helper on letter
+tuples, `_moves`, and indexes the states by their letters: no `Word` is
+built per move.
+
 A cyclic shift of every word maps the ring process to itself, so its unique
 stationary law is constant on rotation orbits.  `steady_state` therefore
 checks that the stationary law is unique (exactly one closed communicating
-class), lumps the chain onto the rotation orbits, solves the quotient's
+class), lumps the chain onto the rotation orbits (the shift is found by
+letter tuple and checked on the integer rows M = D P), solves the quotient's
 balance system (about m/n unknowns instead of m) in integers by Bareiss
 elimination, spreads each orbit's mass evenly over its states, and certifies
 the result in integers on the full chain: pi P = pi and no negative entry.
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..algebra.rings import _Table
 from ..combinatorics import Word, enumerate_states
@@ -52,24 +57,32 @@ def build_transition_matrix(k: int, r: int, l: int, t0) -> TransitionMatrix:
     if not 0 <= t0 <= 1:
         raise InvalidRate(f"hop rate must lie in [0, 1]: {t0}")
     states = enumerate_states(k, r, l)
-    index = {mu: i for i, mu in enumerate(states)}
+    index = {mu.letters: i for i, mu in enumerate(states)}
     n = k + r + l
     fast, slow = t0.numerator, t0.denominator
     entry = _Table(lambda v: Fraction(v, n * slow))  # one Fraction per distinct rate
     rows = []
-    for mu in states:
+    for i, mu in enumerate(states):
         moves: dict[int, int] = {}
-        for p in range(n):
-            a, b = mu.letters[p], mu.letters[(p + 1) % n]
-            if a == b:
-                continue
-            swapped = list(mu.letters)
-            swapped[p], swapped[(p + 1) % n] = b, a
-            j = index[Word(tuple(swapped))]
-            moves[j] = moves.get(j, 0) + (fast if a > b else slow)
-        moves[index[mu]] = n * slow - sum(moves.values())
+        for target, is_fast in _moves(mu.letters):
+            j = index[target]
+            moves[j] = moves.get(j, 0) + (fast if is_fast else slow)
+        moves[i] = n * slow - sum(moves.values())
         rows.append({j: entry[v] for j, v in moves.items() if v})
     return TransitionMatrix(tuple(states), t0, tuple(rows))
+
+
+def _moves(letters: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """(the swapped letters, whether the swap is the fast one: the larger
+    letter on the left) for each cyclically adjacent unequal pair.  The
+    two-site ring's one pair comes twice, once per bond."""
+    for p in range(len(letters) - 1):
+        a, b = letters[p], letters[p + 1]
+        if a != b:
+            yield letters[:p] + (b, a) + letters[p + 2 :], a > b
+    a, b = letters[-1], letters[0]  # the bond that closes the ring
+    if a != b:
+        yield (a,) + letters[1:-1] + (b,), a > b
 
 
 def steady_state(matrix: TransitionMatrix) -> tuple[Fraction, ...]:
@@ -80,24 +93,24 @@ def steady_state(matrix: TransitionMatrix) -> tuple[Fraction, ...]:
        exactly one closed communicating class, which for a stochastic
        matrix is exactly a one-dimensional kernel; otherwise
        `SingularSystem`.
-    2. Partition: the cyclic-shift orbits of the states when the state set
-       is closed under the shift and P[rho mu][rho nu] = P[mu][nu] on every
-       nonzero entry, so pi is constant on each orbit; singletons
-       otherwise.
-    3. Quotient solve: in integers, M = D P with D the lcm of P's
-       denominators.  With Q[O][O'] the sum of M[rep O][nu] over nu in O',
-       one equation of pi_hat Q = D pi_hat is replaced by sum(pi_hat) = 1,
-       and Bareiss elimination, zero wherever Gaussian elimination is zero,
-       gives x = det pi_hat, an integer vector by Cramer's rule.
+    2. Partition: with M = D P, D the lcm of P's denominators, the
+       cyclic-shift orbits of the states when the state set is closed under
+       the shift and M[rho mu][rho nu] = M[mu][nu] on every nonzero entry,
+       so pi is constant on each orbit; singletons otherwise.
+    3. Quotient solve: in integers.  With Q[O][O'] the sum of M[rep O][nu]
+       over nu in O', one equation of pi_hat Q = D pi_hat is replaced by
+       sum(pi_hat) = 1, and Bareiss elimination, zero wherever Gaussian
+       elimination is zero, gives x = det pi_hat, an integer vector by
+       Cramer's rule.
     4. Lift: w(mu) = x(O) L / |O| for mu in O, L the lcm of the orbit sizes,
        signed so that sum(w) > 0; pi = w / sum(w).
     5. Certificate: `_certify` checks w M = D w and w >= 0 on the full chain
        in integers; either failure raises `SingularSystem`."""
     if not _one_closed_class(matrix.rows):
         raise SingularSystem("the chain has more than one closed class")
-    orbits = _rotation_orbits(matrix.states, matrix.rows)
     d = lcm(*{v.denominator for row in matrix.rows for v in row.values()})
     ints = [{j: v.numerator * (d // v.denominator) for j, v in row.items()} for row in matrix.rows]
+    orbits = _rotation_orbits(matrix.states, ints)
 
     # Equations indexed by orbit O': sum_O pi_hat(O) (Q[O][O'] - D delta) = 0,
     # the last replaced by the all-ones row; column `size` is the right side.
@@ -181,12 +194,14 @@ def _one_closed_class(succ: Sequence[Iterable[int]]) -> bool:
     return len(reached) == m
 
 
-def _rotation_orbits(states: tuple[Word, ...], rows: Sequence[dict[int, Fraction]]) -> list[list[int]]:
+def _rotation_orbits(states: tuple[Word, ...], rows: Sequence[dict[int, int]]) -> list[list[int]]:
     """Index lists of the cyclic-shift orbits of ``states`` when the shift
     permutes them and preserves every nonzero entry of ``rows`` (so it is
-    an automorphism of the chain); singletons otherwise."""
-    index = {mu: i for i, mu in enumerate(states)}
-    shift = [index.get(Word(mu.letters[1:] + mu.letters[:1])) for mu in states]
+    an automorphism of the chain); singletons otherwise.  ``rows`` are the
+    integer M = D P: D > 0 is one constant, so equal entries of M are equal
+    entries of P."""
+    index = {mu.letters: i for i, mu in enumerate(states)}
+    shift = [index.get(mu.letters[1:] + mu.letters[:1]) for mu in states]
     equivariant = set(shift) == set(range(len(states))) and all(
         rows[shift[i]].get(shift[j]) == v for i, row in enumerate(rows) for j, v in row.items()
     )

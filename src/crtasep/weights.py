@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import add
 
 from .algebra.poly import MultiPoly
@@ -191,10 +191,17 @@ def partition_function(k: int, r: int, l: int) -> RatFunc:
 
 
 def stationary_prob(mu: Word) -> RatFunc:
-    """Steady-state probability of a state, as a rational function of t; Tab_t
-    is reduced and Z an integer, so Z joins its denominator with no gcd."""
-    law, z = tab_t(mu), partition_function(mu.k, mu.r, mu.l)
-    return RatFunc._reduced(law.num, law.den * z.num)
+    """Steady-state probability of a state, as a rational function of t.
+    Tab_t is canonical: jointly primitive, its denominator's leading
+    coefficient positive.  So with Z the integer partition function and g
+    the gcd of Z and the numerator's content, (num/g, den Z/g) is canonical
+    too (content(num)/g and Z/g are coprime, and so are the contents of num
+    and den), and Z joins with one integer gcd."""
+    law, z = tab_t(mu), partition_function(mu.k, mu.r, mu.l).num.terms[0, 0]
+    g = gcd(*law.num.terms.values(), z)
+    out = RatFunc.__new__(RatFunc)
+    out.num, out.den = law.num.divide_content(g), law.den * (z // g)
+    return out
 
 
 # -- Macdonald polynomials ---------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crtasep import combinatorics
 from crtasep.algebra import MultiPoly
 from crtasep.combinatorics import (
     ArrowOrdering,
@@ -164,26 +165,42 @@ def test_row_reading_follows_the_rule_on_every_small_word():
     assert rows == 4143
 
 
+def _plain_reading_stats(labels, universe, d):
+    """G's entry the plain way: every order through ``partial_perms``,
+    grouped by its last label, as {label: {(rec, dis): count}}."""
+    want: dict = {}
+    for order, reading in partial_perms(labels, universe, d):
+        group = want.setdefault(order[-1] if order else None, {})
+        stat = (recoils(reading), disorder(reading))
+        group[stat] = group.get(stat, 0) + 1
+    return want
+
+
 def test_reading_stats_match_the_plain_loop():
-    # every layout with at most 5 slots: universe size m <= 4, every rank
-    # of d among the m + 1 gaps, every subset of the universe as labels
+    # every layout with at most 8 slots: universe size m <= 7, every rank
+    # of d among the m + 1 gaps, every subset of the universe as labels;
+    # the table starts empty, so every entry compared is the placement DP's
+    combinatorics._READING_STATS.clear()
     layouts = 0
-    for m in range(5):
+    for m in range(8):
         universe = [2 * j for j in range(1, m + 1)]
         for d in range(1, 2 * m + 2, 2):
             for size in range(m + 1):
                 for labels in itertools.combinations(universe, size):
-                    want: dict = {}
-                    for order, reading in partial_perms(labels, universe, d):
-                        group = want.setdefault(order[-1] if order else None, {})
-                        stat = (recoils(reading), disorder(reading))
-                        group[stat] = group.get(stat, 0) + 1
+                    want = _plain_reading_stats(labels, universe, d)
                     for labels_in in (labels, labels[::-1]):  # pairs follow the labels, not their order
                         pairs = reading_stats(labels_in, universe, d)
                         got = {c: coeff.terms for c, coeff in pairs}  # (rec, dis) -> count
                         assert got == want, (labels, universe, d)
                     layouts += 1
-    assert layouts == sum((m + 1) * 2**m for m in range(5))
+    assert layouts == sum((m + 1) * 2**m for m in range(8)) == 1793
+    # and s = 8 labels among 11 particle columns, the 0 between two of them:
+    # 40,320 orders for the plain loop
+    universe = [1, 2, 4, 5, 7, 8, 9, 11, 12, 14, 15]
+    labels = (2, 4, 5, 8, 9, 11, 14, 15)
+    got = {c: coeff.terms for c, coeff in reading_stats(labels, universe, 10)}
+    assert got == _plain_reading_stats(labels, universe, 10)
+    assert sum(sum(g.values()) for g in got.values()) == factorial(8)
 
 
 def test_partial_perms_yields_every_order_once_input_first():

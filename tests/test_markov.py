@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from crtasep.combinatorics import Word, enumerate_states
 from crtasep.errors import InvalidRate, SingularSystem
-from crtasep.oracles.markov import TransitionMatrix, _certify, build_transition_matrix, steady_state
+from crtasep.oracles.markov import (
+    TransitionMatrix,
+    _certify,
+    _rotation_orbits,
+    build_transition_matrix,
+    steady_state,
+)
 from crtasep.weights import stationary_prob
 
 HALF = Fraction(1, 2)
@@ -52,6 +58,59 @@ def test_two_site_ring_rates_add():
     assert m.entry(i, j) == (HALF + 1) / 2
     assert m.entry(j, i) == (HALF + 1) / 2
     assert steady_state(m) == (HALF, HALF)
+
+
+def _reference_rows(k, r, l, t0):
+    """The chain's rows by the rule, one ``Word`` per move: a cyclically
+    adjacent unequal pair swaps at rate t0/n with the larger letter on the
+    left and 1/n otherwise, rates of equal targets add, and the rest of the
+    mass stays put."""
+    states = enumerate_states(k, r, l)
+    index = {mu: i for i, mu in enumerate(states)}
+    n = k + r + l
+    rows = []
+    for i, mu in enumerate(states):
+        row: dict[int, Fraction] = {}
+        for p in range(n):
+            a, b = mu.letters[p], mu.letters[(p + 1) % n]
+            if a == b:
+                continue
+            swapped = list(mu.letters)
+            swapped[p], swapped[(p + 1) % n] = b, a
+            j = index[Word(tuple(swapped))]
+            row[j] = row.get(j, Fraction(0)) + (t0 if a > b else 1) / Fraction(n)
+        row[i] = 1 - sum(row.values())
+        rows.append({j: v for j, v in row.items() if v})
+    return tuple(states), tuple(rows)
+
+
+@pytest.mark.parametrize("t0", [Fraction(0), Fraction(1, 3), Fraction(1)])
+def test_rows_follow_the_move_rule_on_every_small_sector(t0):
+    sectors = 0
+    for n in range(1, 7):
+        for k in range(n + 1):
+            for r in range(n - k + 1):
+                m = build_transition_matrix(k, r, n - k - r, t0)
+                assert (m.states, m.rows) == _reference_rows(k, r, n - k - r, t0), (k, r, t0)
+                sectors += 1
+    assert sectors == sum((n + 1) * (n + 2) // 2 for n in range(1, 7))
+
+
+def test_shift_closed_states_with_one_broken_rate_are_not_lumped():
+    # 001, 010, 100: one rotation orbit, and the ring chain commutes with
+    # the shift; moving mass in one row breaks that, so the orbits must be
+    # singletons and the full chain is solved and certified
+    ring = build_transition_matrix(2, 1, 0, HALF)
+    broken_row = {0: Fraction(1, 2), 1: Fraction(1, 6), 2: Fraction(1, 3)}
+    assert broken_row != ring.rows[0] and sum(broken_row.values()) == 1
+    m = TransitionMatrix(ring.states, HALF, (broken_row,) + ring.rows[1:])
+    for matrix, orbits in ((ring, [[0, 1, 2]]), (m, [[0], [1], [2]])):
+        _, ints, _ = _integer_chain(matrix)
+        assert _rotation_orbits(matrix.states, ints) == orbits
+    pi = steady_state(m)
+    assert pi == _dense_steady_state(m)
+    assert pi != (Fraction(1, 3),) * 3
+    assert all(sum(pi[i] * m.entry(i, j) for i in range(3)) == pi[j] for j in range(3))
 
 
 def test_invalid_rate():

@@ -8,7 +8,7 @@ no row factorisation) guard the production paths.
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -413,14 +413,22 @@ def test_stationary_probabilities_normalise():
 
 
 def test_stationary_prob_is_tab_t_over_z_in_canonical_form():
-    # Z joins Tab_t's denominator without a gcd: the result must still be
-    # the field quotient's canonical form
+    # Z joins Tab_t's denominator by one integer gcd: the result must be the
+    # field quotient's canonical form, and term for term the pair normalised
+    # from scratch; on some words the gcd cancels part of Z
+    cancelled = 0
     for n in range(1, 7):
         for letters in itertools.product((0, 1, 2), repeat=n):
             mu = Word(letters)
-            want = tab_t(mu) / partition_function(mu.k, mu.r, mu.l)
+            law, z = tab_t(mu), partition_function(mu.k, mu.r, mu.l)
+            want = law / z
             got = stationary_prob(mu)
             assert got == want and ratfunc_string(got) == ratfunc_string(want), mu
+            pair = RatFunc._reduced(law.num, law.den * z.num)
+            assert (got.num.terms, got.den.terms) == (pair.num.terms, pair.den.terms), mu
+            # Tab_t's denominator is monic, so got's content is Z/g
+            cancelled += gcd(*got.den.terms.values()) < z.num.terms[0, 0]
+    assert cancelled > 0
 
 
 def test_macdonald_e_221100_matches_display():
