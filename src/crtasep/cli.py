@@ -3,8 +3,7 @@
 Words and partitions are digit strings ("201021"); rationals are "p/q"
 text.  Output is canonical expression text by default, JSON with --json.
 Exit codes: 0 success, 1 verification failure, 2 bad word/partition or
-usage, 3 evaluation failure (pole, divergent truncation, or a word too
-long for the recurrence).
+usage, 3 evaluation failure (pole, divergent or unsettled truncation).
 """
 
 from __future__ import annotations

@@ -51,12 +51,19 @@ ends with rows below i exact after c calls has computed i + #A0 c rows.
 A truncation to N rows is exact on entries (i, j) with i, j <= N-2 for a
 product of two bands, which is what the relation checks use.  Truncations
 are at most ``MAX_SIZE`` rows.
+
+Each exchange relation is one row (name, lhs terms, rhs terms) of a table.
+A term (c, (M1, ..., Mk)) stands for c M1...Mk, a coefficient times a
+product of truncations; ``_evaluate`` sums a side's terms with
+``banded_mul``, and the two sides must agree on the truncation's exact
+interior.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, islice, repeat
 from operator import mul
 
@@ -250,13 +257,13 @@ def truncated_trace(
 # ----------------------------------------------------------------------
 
 
-def _add(a: Banded, b: Banded) -> Banded:
-    zero = [0] * len(next(iter(a.values())))
-    return {d: [u + v for u, v in zip(a.get(d, zero), b.get(d, zero))] for d in a.keys() | b.keys()}
-
-
-def _scale(a: Banded, c) -> Banded:
-    return {d: [v * c for v in row] for d, row in a.items()}
+def _evaluate(terms: list) -> Banded:
+    """The sum of the terms (c, (M1, ..., Mk)), each c M1...Mk."""
+    total: Banded = {}
+    for c, factors in terms:
+        for d, row in reduce(banded_mul, factors).items():
+            total[d] = [u + c * v for u, v in zip(total.get(d, repeat(0)), row)]
+    return total
 
 
 def _assert_equal_interior(name: str, lhs: Banded, rhs: Banded, size: int) -> None:
@@ -270,11 +277,11 @@ def _assert_equal_interior(name: str, lhs: Banded, rhs: Banded, size: int) -> No
                 raise RelationViolation(name, (i, i + d), a[i], b[i])
 
 
-def _relation_report(checks: list, inputs: dict) -> dict:
-    """Assert each (name, lhs, rhs) on the truncation's interior."""
-    for name, lhs, rhs in checks:
-        _assert_equal_interior(name, lhs, rhs, inputs["size"])
-    return {"checks": [name for name, _, _ in checks], "inputs": inputs, "status": "pass"}
+def _relation_report(relations: list, inputs: dict) -> dict:
+    """Assert each (name, lhs terms, rhs terms) on the truncation's interior."""
+    for name, lhs, rhs in relations:
+        _assert_equal_interior(name, _evaluate(lhs), _evaluate(rhs), inputs["size"])
+    return {"checks": [name for name, _, _ in relations], "inputs": inputs, "status": "pass"}
 
 
 def check_matrix_relations(q0, t0, x0, y0, size: int = 12) -> dict:
@@ -289,31 +296,22 @@ def check_matrix_relations(q0, t0, x0, y0, size: int = 12) -> dict:
     if size < 3:
         raise ValueError("need size >= 3")
     q0, t0, x0, y0 = (Fraction(v) for v in (q0, t0, x0, y0))
-    a0x = banded_matrix("A0", x0, size)
-    a0y = banded_matrix("A0", y0, size)
+    a0x, a0y, a0qx = (banded_matrix("A0", v, size) for v in (x0, y0, q0 * x0))
     a1y = banded_matrix("A1", y0, size, t=t0)
     a2y = banded_matrix("A2", y0, size, t=t0)
     s = banded_matrix("S", None, size, q=q0)
-
-    checks = [
-        ("A0(x)A0(y)=A0(y)A0(x)", banded_mul(a0x, a0y), banded_mul(a0y, a0x)),
+    relations = [
+        ("A0(x)A0(y)=A0(y)A0(x)", [(1, (a0x, a0y))], [(1, (a0y, a0x))]),
         (
             "A0(x)A2(y)=t*A2(y)A0(x)+(1-t)*A2(y)+x*y*(1-t)*A0(y)",
-            banded_mul(a0x, a2y),
-            _add(
-                _add(_scale(banded_mul(a2y, a0x), t0), _scale(a2y, 1 - t0)),
-                _scale(a0y, x0 * y0 * (1 - t0)),
-            ),
+            [(1, (a0x, a2y))],
+            [(t0, (a2y, a0x)), (1 - t0, (a2y,)), (x0 * y0 * (1 - t0), (a0y,))],
         ),
-        (
-            "A0(x)A1(y)=t*A1(y)A0(x)+(1-t)*A1(y)",
-            banded_mul(a0x, a1y),
-            _add(_scale(banded_mul(a1y, a0x), t0), _scale(a1y, 1 - t0)),
-        ),
-        ("A0(x)S=S*A0(q*x)", banded_mul(a0x, s), banded_mul(s, banded_matrix("A0", q0 * x0, size))),
+        ("A0(x)A1(y)=t*A1(y)A0(x)+(1-t)*A1(y)", [(1, (a0x, a1y))], [(t0, (a1y, a0x)), (1 - t0, (a1y,))]),
+        ("A0(x)S=S*A0(q*x)", [(1, (a0x, s))], [(1, (s, a0qx))]),
     ]
     inputs = {"q": str(q0), "t": str(t0), "x": str(x0), "y": str(y0), "size": size}
-    return _relation_report(checks, inputs)
+    return _relation_report(relations, inputs)
 
 
 def check_ansatz_relations(q0, t0, size: int = 12) -> dict:
@@ -322,26 +320,10 @@ def check_ansatz_relations(q0, t0, size: int = 12) -> dict:
     if size < 3:
         raise ValueError("need size >= 3")
     q0, t0 = Fraction(q0), Fraction(t0)
-    one = Fraction(1)
-    a0 = banded_matrix("A0", one, size)
-    a1 = banded_matrix("A1", one, size, t=t0)
-    a2 = banded_matrix("A2", one, size, t=t0)
-
-    checks = [
-        (
-            "A0A2=t*A2A0+(1-t)*(A0+A2)",
-            banded_mul(a0, a2),
-            _add(_scale(banded_mul(a2, a0), t0), _scale(_add(a0, a2), 1 - t0)),
-        ),
-        (
-            "A0A1=t*A1A0+(1-t)*A1",
-            banded_mul(a0, a1),
-            _add(_scale(banded_mul(a1, a0), t0), _scale(a1, 1 - t0)),
-        ),
-        (
-            "A1A2=t*A2A1+(1-t)*A1",
-            banded_mul(a1, a2),
-            _add(_scale(banded_mul(a2, a1), t0), _scale(a1, 1 - t0)),
-        ),
+    a0, a1, a2 = (banded_matrix(kind, Fraction(1), size, t=t0) for kind in ("A0", "A1", "A2"))
+    relations = [
+        ("A0A2=t*A2A0+(1-t)*(A0+A2)", [(1, (a0, a2))], [(t0, (a2, a0)), (1 - t0, (a0,)), (1 - t0, (a2,))]),
+        ("A0A1=t*A1A0+(1-t)*A1", [(1, (a0, a1))], [(t0, (a1, a0)), (1 - t0, (a1,))]),
+        ("A1A2=t*A2A1+(1-t)*A1", [(1, (a1, a2))], [(t0, (a2, a1)), (1 - t0, (a1,))]),
     ]
-    return _relation_report(checks, {"q": str(q0), "t": str(t0), "size": size})
+    return _relation_report(relations, {"q": str(q0), "t": str(t0), "size": size})

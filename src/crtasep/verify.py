@@ -3,11 +3,15 @@
 Every suite expands into a deterministic list of instances (random points
 are drawn up front from the seed and embedded in the instance), each
 instance is checked by a pure function, and the results are assembled in
-instance order into a JSON-ready report.  The worker count is taken from
-the CRTASEP_WORKERS environment variable, clamped to the CPU count and the
-number of instances; above 1 the instances are fanned out to a process
-pool.  An instance whose check raises is reported as failed with the
-exception, and the others still run.
+instance order into a JSON-ready report.  A check returns None when its
+instance passes, and otherwise a dict of what went wrong (its own keys,
+such as "error" or "state").  ``_check_one`` alone turns that into a
+failure of the report: {"instance": ..., the check's keys, "suite": ...}.
+An instance whose check raises is reported the same way, with "error"
+naming the exception, and the others still run.  The worker count is
+taken from the CRTASEP_WORKERS environment variable, clamped to the CPU
+count and the number of instances; above 1 the instances are fanned out
+to a process pool.
 """
 
 from __future__ import annotations
@@ -65,11 +69,12 @@ def _instances_words(bound_n: int, seed: int):
     return [(str(mu),) for mu in _words_up_to(bound_n)]
 
 
-def _partitions_up_to(bound_n: int):
+def _sectors_up_to(bound_n: int):
+    """(k, r, l) of every sector with 1 <= k + r + l <= bound_n: by n, then k, then r."""
     for n in range(1, bound_n + 1):
-        for l in range(0, n + 1):
-            for r in range(0, n - l + 1):
-                yield Word((2,) * l + (1,) * r + (0,) * (n - l - r))
+        for k in range(0, n + 1):
+            for r in range(0, n - k + 1):
+                yield k, r, n - k - r
 
 
 def _rand_fraction(rng: random.Random) -> Fraction:
@@ -89,14 +94,7 @@ def _rand_point(rng: random.Random, n: int) -> tuple[str, str, tuple[str, ...]]:
 
 
 def _instances_markov(bound_n: int, seed: int):
-    out = []
-    for n in range(1, bound_n + 1):
-        for k in range(0, n + 1):
-            for r in range(0, n - k + 1):
-                l = n - k - r
-                for t0 in _T_VALUES:
-                    out.append((k, r, l, str(t0)))
-    return out
+    return [(k, r, l, str(t0)) for k, r, l in _sectors_up_to(bound_n) for t0 in _T_VALUES]
 
 
 @functools.lru_cache(maxsize=1)
@@ -115,14 +113,9 @@ def _check_markov(instance):
     for i, mu in enumerate(matrix.states):
         expected = laws[mu].evaluate(1, t0)
         if pi[i] != expected:
-            return {
-                "instance": list(instance),
-                "state": str(mu),
-                "solved": str(pi[i]),
-                "formula": str(expected),
-            }
+            return {"state": str(mu), "solved": str(pi[i]), "formula": str(expected)}
     if sum(pi) != 1:
-        return {"instance": list(instance), "error": "probabilities do not sum to 1"}
+        return {"error": "probabilities do not sum to 1"}
     return None
 
 
@@ -149,13 +142,13 @@ def _instances_recurrence(bound_n: int, seed: int):
 def _check_recurrence(instance):
     kind = instance[0]
     mu = Word.from_string(instance[1])
-    scalar = RatFunc(MultiPoly.one() - MultiPoly.q() * MultiPoly.t(mu.r))
     if kind == "sym":
+        scalar = RatFunc(MultiPoly.one() - MultiPoly.q() * MultiPoly.t(mu.r))
         if trace_by_recurrence(mu) * scalar != tab_qtx(mu):
-            return {"instance": list(instance), "error": "symbolic trace identity fails"}
+            return {"error": "symbolic trace identity fails"}
     elif kind == "dchoice":
         if trace_by_recurrence(mu, "max") != trace_by_recurrence(mu, "min"):
-            return {"instance": list(instance), "error": "trace depends on the peeled position"}
+            return {"error": "trace depends on the peeled position"}
     else:
         _, _, q0s, t0s, xs_s = instance
         q0, t0 = Fraction(q0s), Fraction(t0s)
@@ -163,7 +156,7 @@ def _check_recurrence(instance):
         lhs = (1 - q0 * t0**mu.r) * trace_rec_eval(mu, q0, t0, xs)
         rhs = tab_qtx_eval(mu, q0, t0, xs)
         if lhs != rhs:
-            return {"instance": list(instance), "lhs": str(lhs), "rhs": str(rhs)}
+            return {"lhs": str(lhs), "rhs": str(rhs)}
     return None
 
 
@@ -190,7 +183,7 @@ def _check_numeric_trace(instance):
     rhs = float(tab_qtx_eval(mu, q0, t0, xs))
     err = abs(lhs - rhs) / max(1e-300, abs(rhs))
     if err >= 1e-8:
-        return {"instance": list(instance), "relative_error": err}
+        return {"relative_error": err}
     return None
 
 
@@ -218,7 +211,7 @@ def _check_relations(instance):
             _, q0, t0 = instance
             check_ansatz_relations(Fraction(q0), Fraction(t0), size=12)
     except RelationViolation as exc:
-        return {"instance": list(instance), "relation": exc.relation, "entry": list(exc.entry)}
+        return {"relation": exc.relation, "entry": list(exc.entry)}
     return None
 
 
@@ -238,23 +231,19 @@ def _check_bijection(instance):
         queue = crt_to_queue(tableau, ordering)
         back = queue_to_crt(queue)
         if back != (tableau, ordering):
-            return {"instance": list(instance), "error": "round trip fails", "tableau": tableau.to_json_dict()}
+            return {"error": "round trip fails", "tableau": tableau.to_json_dict()}
         weight = queue_weight(queue)
         scalar = qt_factorial_ratio(mu.r + mu.l - tableau.arr, mu.r + mu.l)
         if weight != wt_qtx_ordered(tableau, ordering) * scalar:
-            return {
-                "instance": list(instance),
-                "error": "weight not preserved",
-                "tableau": tableau.to_json_dict(),
-            }
+            return {"error": "weight not preserved", "tableau": tableau.to_json_dict()}
         weights.append(weight)
         images.append(queue)
     total = sum(weights, QtxExpr.zero())
     queues = enumerate_queues(mu)
-    if sorted(q.matching for q in queues) != sorted(q.matching for q in images) or len(queues) != len(images):
-        return {"instance": list(instance), "error": "queue enumeration mismatch"}
+    if sorted(q.matching for q in queues) != sorted(q.matching for q in images):
+        return {"error": "queue enumeration mismatch"}
     if total != tab_qtx(mu):
-        return {"instance": list(instance), "error": "queue weights do not sum to tab_qtx"}
+        return {"error": "queue weights do not sum to tab_qtx"}
     return None
 
 
@@ -263,7 +252,7 @@ def _check_bijection(instance):
 
 def _instances_symmetries(bound_n: int, seed: int):
     out = [("word", str(mu)) for mu in _words_up_to(bound_n)]
-    out.extend(("psym", str(lam)) for lam in _partitions_up_to(min(bound_n, 5)))
+    out.extend(("psym", "2" * l + "1" * r + "0" * k) for k, r, l in _sectors_up_to(min(bound_n, 5)))
     return out
 
 
@@ -273,25 +262,25 @@ def _check_symmetries(instance):
     if kind == "word":
         value = tab_t(mu)
         if value != tab_t(complement(mu)).subs_t_recip():
-            return {"instance": list(instance), "error": "complement symmetry fails"}
+            return {"error": "complement symmetry fails"}
         if value != tab_t(particle_hole(mu)):
-            return {"instance": list(instance), "error": "particle-hole symmetry fails"}
+            return {"error": "particle-hole symmetry fails"}
         normal = t_factorial_ratio(mu.r, mu.r + mu.l).inverse() * value
         if not normal.is_poly():
-            return {"instance": list(instance), "error": "normalized weight is not polynomial"}
+            return {"error": "normalized weight is not polynomial"}
         if any(c.denominator != 1 or c < 0 for c in normal.as_poly().terms.values()):
-            return {"instance": list(instance), "error": "normalized weight has bad coefficients"}
+            return {"error": "normalized weight has bad coefficients"}
     else:
         poly = macdonald_P(mu)
         for i in range(1, mu.n):
             if poly.swap_x(i) != poly:
-                return {"instance": list(instance), "error": f"not symmetric in x{i}, x{i+1}"}
+                return {"error": f"not symmetric in x{i}, x{i+1}"}
         # P_lambda(x; 1, t) = e_{lambda'}(x), lambda' = (r+l, l) (Macdonald VI §4)
         at_q1 = poly.specialize(q_to=1)
         if at_q1 != _elementary(mu.r + mu.l, mu.n) * _elementary(mu.l, mu.n):
-            return {"instance": list(instance), "error": "P at q=1 is not e_{r+l} e_l"}
+            return {"error": "P at q=1 is not e_{r+l} e_l"}
         if at_q1.specialize(x_to_one=True).as_ratfunc() != partition_function(mu.k, mu.r, mu.l):
-            return {"instance": list(instance), "error": "P at q=1, x=1 is not the partition function"}
+            return {"error": "P at q=1, x=1 is not the partition function"}
     return None
 
 
@@ -308,10 +297,10 @@ def _check_specialization(instance):
     mu = Word.from_string(instance[0])
     direct = tab_t(mu)
     if tab_qtx(mu).specialize(q_to=1, x_to_one=True).as_ratfunc() != direct:
-        return {"instance": list(instance), "error": "q=1, x=1 specialization mismatch"}
+        return {"error": "q=1, x=1 specialization mismatch"}
     uniform = Fraction(comb(mu.n, mu.l) * factorial(mu.l) * factorial(mu.r), factorial(mu.r + mu.l))
     if direct.evaluate(1, 1) != uniform:
-        return {"instance": list(instance), "error": "t=1 value differs from closed form"}
+        return {"error": "t=1 value differs from closed form"}
     return None
 
 
@@ -332,9 +321,10 @@ SUITES = tuple(_SUITE_FUNCS)
 def _check_one(task):
     suite, instance = task
     try:
-        return _SUITE_FUNCS[suite][1](instance)
+        failure = _SUITE_FUNCS[suite][1](instance)
     except Exception as exc:  # an instance that raises is that instance's failure
-        return {"instance": list(instance), "error": f"{type(exc).__name__}: {exc}"}
+        failure = {"error": f"{type(exc).__name__}: {exc}"}
+    return None if failure is None else {"instance": list(instance), **failure, "suite": suite}
 
 
 def worker_count() -> int:
@@ -367,15 +357,9 @@ def run_suite(suite: str, bound_n: int, seed: int, workers: int | None = None) -
             results = pool.map(_check_one, tasks, chunksize=8)
     else:
         results = [_check_one(task) for task in tasks]
-    failures = []
-    for (name, instance), failure in zip(tasks, results):
-        if failure is not None:
-            failure = dict(failure)
-            failure.setdefault("suite", name)
-            failures.append(failure)
     return {
         "suite": suite,
         "instances": len(tasks),
-        "failures": failures,
+        "failures": [failure for failure in results if failure is not None],
         "elapsed_ms": int((time.monotonic() - started) * 1000),
     }

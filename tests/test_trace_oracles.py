@@ -340,6 +340,27 @@ def test_perturbed_matrix_violates_relation():
     assert err.value.entry == (2, 2)
 
 
+def test_a_wrong_a2_breaks_its_exchange_relations(monkeypatch):
+    real = matrices.banded_matrix
+
+    def shifted_a2(kind, x, size, q=None, t=None):  # A2's subdiagonal read as x (1 - t^(i+1))
+        m = real(kind, x, size, q=q, t=t)
+        if kind == "A2":
+            m[-1] = [x * (1 - t ** (i + 1)) if i else 0 for i in range(size)]
+        return m
+
+    monkeypatch.setattr(matrices, "banded_matrix", shifted_a2)
+    q0, t0 = Fraction(2, 7), Fraction(3, 5)
+    with pytest.raises(RelationViolation) as err:
+        check_matrix_relations(q0, t0, Fraction(-1, 3), Fraction(4, 9), 10)
+    assert err.value.relation == "A0(x)A2(y)=t*A2(y)A0(x)+(1-t)*A2(y)+x*y*(1-t)*A0(y)"
+    assert (err.value.entry, err.value.lhs, err.value.rhs) == ((0, 0), Fraction(208, 2025), Fraction(56, 405))
+    with pytest.raises(RelationViolation) as err:
+        check_ansatz_relations(q0, t0, 10)
+    assert err.value.relation == "A0A2=t*A2A0+(1-t)*(A0+A2)"
+    assert (err.value.entry, err.value.lhs, err.value.rhs) == ((0, 0), Fraction(41, 25), Fraction(7, 5))
+
+
 def test_product_trace_matches_dense_expectation():
     # A1(x) and S are diagonal: trace is a finite geometric sum
     q0, t0, x0 = Fraction(1, 2), Fraction(1, 3), Fraction(2)

@@ -3,10 +3,17 @@
 import json
 import multiprocessing
 import os
+from fractions import Fraction
+
+import pytest
 
 from crtasep import verify
-from crtasep.errors import NoConvergence
+from crtasep.combinatorics import Word
+from crtasep.errors import NoConvergence, RelationViolation
+from crtasep.oracles.markov import build_transition_matrix
 from crtasep.verify import SUITES, run_suite, worker_count
+
+W = Word.from_string
 
 
 def test_report_schema_and_pass():
@@ -42,14 +49,6 @@ def test_worker_pool_matches_serial(monkeypatch):
     assert worker_count() == 3
     monkeypatch.setenv("CRTASEP_WORKERS", "junk")
     assert worker_count() == 1
-
-
-def test_failure_witness_shape():
-    # corrupt check: impossible tolerance by monkeypatching is overkill;
-    # instead run a suite instance directly and fake a failing compare
-    from crtasep.verify import _check_markov
-
-    assert _check_markov((1, 1, 1, "1/2")) is None
 
 
 def test_raising_instance_is_recorded_and_the_rest_still_run(monkeypatch):
@@ -96,3 +95,69 @@ def test_pool_size_clamped_to_cpus_and_tasks(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     run_suite("relations", 0, 42)
     assert sizes == [4, 40]  # an unknown CPU count runs serially
+
+
+def _wrong_at(real, args, wrong):
+    """``real``, except that the call with positional arguments ``args``
+    answers wrong(its real answer)."""
+
+    def patched(*call, **keywords):
+        value = real(*call, **keywords)
+        return wrong(value) if call == args else value
+
+    return patched
+
+
+def _violation(report):
+    raise RelationViolation(report["checks"][2], (3, 4), 1, 2)
+
+
+# suite, bound, instances, the callee in crtasep.verify and its arguments at
+# the one failing instance, its wrong answer there, that instance, and the
+# keys the suite's check reports for it
+FAILURE_PATHS = [
+    (
+        "markov", 3, 57,
+        "build_transition_matrix", (1, 1, 1, Fraction(1, 3)),
+        lambda matrix: build_transition_matrix(1, 1, 1, Fraction(2, 3)),
+        [1, 1, 1, "1/3"], {"state": "012", "solved": "7/45", "formula": "5/36"},
+    ),
+    (
+        "recurrence", 2, 18, "tab_qtx", (W("12"),), lambda v: v + v,
+        ["sym", "12"], {"error": "symbolic trace identity fails"},
+    ),
+    (
+        "numeric-trace", 1, 9,
+        "truncated_trace", (W("1"), Fraction(2, 3), Fraction(2, 9), (Fraction(19, 20),)), lambda v: 0.0,
+        ["1", "2/3", "2/9", ("19/20",)], {"relative_error": 1.0},
+    ),
+    (
+        "relations", 0, 40, "check_ansatz_relations", (Fraction(7, 8), Fraction(1, 8)), _violation,
+        ["ansatz", "7/8", "1/8"], {"relation": "A1A2=t*A2A1+(1-t)*A1", "entry": [3, 4]},
+    ),
+    (
+        # one queue twice: the sorted matchings differ, so no length test is needed
+        "bijection", 2, 12, "enumerate_queues", (W("12"),), lambda queues: queues + queues[:1],
+        ["12"], {"error": "queue enumeration mismatch"},
+    ),
+    (
+        "symmetries", 2, 21, "partition_function", (0, 1, 1), lambda z: z + z,
+        ["psym", "21"], {"error": "P at q=1, x=1 is not the partition function"},
+    ),
+    (
+        "specialization", 2, 12, "tab_t", (W("21"),), lambda v: v + v,
+        ["21"], {"error": "q=1, x=1 specialization mismatch"},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, bound, instances, callee, args, wrong, instance, keys", FAILURE_PATHS, ids=[c[0] for c in FAILURE_PATHS]
+)
+def test_a_wrong_answer_fails_exactly_its_instance(monkeypatch, suite, bound, instances, callee, args, wrong, instance, keys):
+    monkeypatch.setattr(verify, callee, _wrong_at(getattr(verify, callee), args, wrong))
+    report = run_suite(suite, bound, 0, workers=1)
+    assert report["instances"] == instances
+    [failure] = report["failures"]
+    assert list(failure) == ["instance", *keys, "suite"]
+    assert failure == {"instance": instance, **keys, "suite": suite}
