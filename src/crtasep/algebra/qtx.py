@@ -22,7 +22,12 @@ from .poly import Arithmetic, MultiPoly
 from .ratfunc import RatFunc
 
 
-def _trim(xs: Iterable[int]) -> tuple[int, ...]:
+def _trim(xs: Iterable[int] | dict[int, int]) -> tuple[int, ...]:
+    if isinstance(xs, dict):  # {index: exponent}
+        dense = [0] * (max(xs, default=-1) + 1)
+        for i, e in xs.items():
+            dense[i] = e
+        xs = dense
     xs = tuple(xs)
     end = len(xs)
     while end and xs[end - 1] == 0:
@@ -73,7 +78,7 @@ class QtxExpr(Arithmetic):
         return QtxExpr({(): r})
 
     @staticmethod
-    def x_monomial(xs: Iterable[int], coeff: RatFunc | MultiPoly | None = None) -> "QtxExpr":
+    def x_monomial(xs: Iterable[int] | dict[int, int], coeff: RatFunc | MultiPoly | None = None) -> "QtxExpr":
         if coeff is None:
             coeff = RatFunc.one()
         out = QtxExpr.__new__(QtxExpr)

@@ -39,7 +39,7 @@ from .ratfunc import RatFunc, divide_by_brackets, qt_factor
 class Ring(NamedTuple):
     """The coefficient ring of a tableau or trace sum; ``divide`` runs once per sum."""
 
-    term: Callable  # (coefficient in Z[q, t], x_exponents) -> coefficient x^x_exponents
+    term: Callable  # (coefficient in Z[q, t], {index from 0: x exponent}) -> coefficient x^exponents
     factor: Callable  # (a, lo, hi) -> qt_factor(a, lo, hi) = (1 - t)^a prod_{lo<j<=hi} (1 - q t^j)
     divide: Callable  # (value, lo, hi) -> value / qt_factor(0, lo, hi), in the ring of the answer
 
@@ -173,9 +173,9 @@ def point_ring(q0, t0, xs, n: int) -> Ring:
         v, dq, dt = values[coeff]  # c q^i t^j = c Q^i T^j L^(D-i-j) / L^D, D = dq + dt
         k = dq + dt
         # exponents are never negative (x_last cancels x_d or an x_i^2)
-        for x, e in zip(X, exps):
+        for i, e in exps.items():
             if e:
-                v *= x**e
+                v *= X[i] ** e
                 k += e
         return _Scaled(v, k, power)
 

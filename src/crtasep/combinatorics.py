@@ -15,9 +15,9 @@ Conventions, fixed once and used by every weight formula:
   their order label, rhombic tiles and free square tiles by a star, and
   empty square tiles with an arrow strictly below are omitted.  One builder,
   ``partial_perms``, makes every reading (``row_reading`` and the tests use
-  it); both kernels read the readings' statistics from ``reading_stats``, a
-  table G filled once per layout by a placement DP that enumerates no
-  orders.
+  it); both kernels sum one term per last label with ``reading_sum`` over
+  ``reading_stats``, a table G filled once per layout by a placement DP
+  that enumerates no orders.
 """
 
 from __future__ import annotations
@@ -381,6 +381,19 @@ def reading_stats(labels: Sequence[int], universe: Sequence[int], d: int):
         if len(_READING_STATS) < READING_STATS_CAP:
             entry = _READING_STATS[key] = tuple([_INTERNED.setdefault(p, p) for p in entry])
     return zip(labels or (None,), entry)
+
+
+def reading_sum(term, labels: Sequence[int], universe: Sequence[int], d: int, exps: dict[int, int]):
+    """The sum over ``reading_stats(labels, universe, d)`` of term(q^rec
+    t^dis, exps less one power of x_last), one term per last label c in
+    ``labels`` (nonempty); ``exps`` ({c - 1: the power of x_c}) is restored."""
+    total = None
+    for last, coeff in reading_stats(labels, universe, d):
+        exps[last - 1] -= 1
+        v = term(coeff, exps)
+        exps[last - 1] += 1
+        total = v if total is None else total + v
+    return total
 
 
 def _placements(m: int, zero: int, *slots: int) -> list[dict[tuple[int, int], int]]:

@@ -12,16 +12,16 @@ N(w) = (1 - q t^r) tr(w) prod_{r<j<=rl(w)} (1 - q t^j), the sum of
 (1 - t)^|I| acc(I) N(w minus I and d), or x^mu prod_{r<j<=r+l} (1 - q t^j)
 without holes; each entry point divides once by prod_{r<=j<=r+l}.
 
-With the zeros in a fixed order (``d_strategy``), a word on the way is mu
-less the zeros peeled and U, the 2s removed, so N(mu) unrolls into a sum
-over chains {} = U_0 <= ... <= U_k (k zeros) of each step's (1 - t)^|I|
-acc(I), I = U_j minus U_{j-1}, times U_k's base term.  ``_trace`` sums it
-forward, one layer {U: the sum over chains ending in U} at a time: nothing
-recurses, with as many ring products and sums as the memoised recursion.
-It is written once, over a ``Ring`` from ``algebra.rings`` (``SYMBOLIC``:
-Q(q,t)[x], ``point_ring``: one exact point).  Each I gives one term per last
-deleted position, its orders' q^rec t^dis from ``combinatorics.reading_stats``,
-the tableau kernel's table; sums start from their first term.  ``omega``
+With the zeros in a fixed order (``d_strategy``), a word on the way is mu less
+the zeros peeled and U, the 2s removed, so N(mu) unrolls into a sum over
+chains {} = U_0 <= ... <= U_k (k zeros) of the steps' acc(I), I = U_j minus
+U_{j-1}, times U_k's base term, whose factor takes their (1 - t)^|I| once, as
+(1 - t)^|U_k|.  ``_trace`` sums it forward, one layer {U: the sum over chains
+ending in U} at a time; an empty I (acc = 1) passes each chain sum on to the
+same U with no reading, term or product.  Over a ``Ring`` of ``algebra.rings``
+(``SYMBOLIC`` or ``point_ring``), each nonempty I gives one term per last
+deleted position, summed by ``combinatorics.reading_sum`` as a row is; sums
+start from their first term and products from the empty one.  ``omega``
 normalises the trace in ``f_mu``; this reads nothing of ``weights``.
 """
 
@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from ..algebra import MultiPoly, QtxExpr, RatFunc
 from ..algebra.rings import SYMBOLIC, Ring, point_ring
-from ..combinatorics import Word, reading_stats
+from ..combinatorics import Word, reading_sum
 
 # Never filled (the pass keeps nothing between calls); bench/child.py and bench/layers.py read it.
 _SYMBOLIC_CACHE: dict = {}
@@ -62,35 +62,30 @@ def trace_rec_eval(mu: Word, q0, t0, xs, d_strategy: str = "max") -> Fraction:
 
 def _trace(mu: Word, strategy: str, ring: Ring):
     """N(mu): the chain sums over U peel by peel, then over the base terms."""
-    n, positions = mu.n, list(enumerate(mu.letters, start=1))
+    positions = list(enumerate(mu.letters, start=1))
     zeros, nonzero, twos = ([c for c, a in positions if a in kind] for kind in ((0,), (1, 2), (2,)))
     layer = {0: None}  # U as a bitmask over labels -> its chains' sum; None is the empty chain's 1
     for d in reversed(zeros) if strategy == "max" else zeros:
-        following = {}
+        following = dict(layer)  # removing no 2 passes each chain sum on unchanged
         for removed, chains in layer.items():
             universe = [c for c in nonzero if not removed >> c & 1]
             free = [c for c in twos if not removed >> c & 1]
-            for s in range(len(free) + 1):
-                scale = ring.factor(s, 0, 0)
+            for s in range(1, len(free) + 1):
                 for subset in itertools.combinations(free, s):
-                    exps, key = [0] * n, removed
+                    exps, key = {d - 1: 1}, removed
                     for c in subset:
                         exps[c - 1], key = 2, key | 1 << c
-                    exps[d - 1] = 1
-                    acc = None
-                    for last, coeff in reading_stats(subset, universe, d):
-                        i = (d if last is None else last) - 1  # the last deleted position
-                        exps[i] -= 1
-                        v = ring.term(coeff, exps)
-                        exps[i] += 1
-                        acc = v if acc is None else acc + v
-                    v = acc * scale if chains is None else chains * (acc * scale)
+                    acc = reading_sum(ring.term, subset, universe, d, exps)  # per last deleted position
+                    v = acc if chains is None else chains * acc
                     following[key] = following[key] + v if key in following else v
         layer = following
     total = None
     for removed, chains in layer.items():
-        exps = [0 if removed >> c & 1 else a for c, a in positions]
-        v = ring.term(MultiPoly.one(), exps) * ring.factor(0, mu.r, n - exps.count(0))
+        exps = {c - 1: a for c, a in positions if a and not removed >> c & 1}
+        v = ring.term(MultiPoly.one(), exps) if exps or not mu.l else None
+        if mu.l:  # else U is empty, r + l = r, and the factor is 1
+            f = ring.factor(removed.bit_count(), mu.r, len(exps))
+            v = f if v is None else v * f
         v = v if chains is None else chains * v
         total = v if total is None else total + v
     return total

@@ -125,7 +125,7 @@ def _check_markov(instance):
 def _instances_recurrence(bound_n: int, seed: int):
     rng = random.Random(seed)
     out = []
-    for mu in _words_up_to(min(bound_n, 7)):
+    for mu in _words_up_to(min(bound_n, 8)):
         out.append(("sym", str(mu)))
     for mu in _words_up_to(min(bound_n, 4)):
         if mu.k >= 1:

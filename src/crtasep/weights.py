@@ -6,8 +6,8 @@ Every tableau sum is one bottom-to-top DP over rows.  A row's reading
 depends only on its label, its arrow columns in label order, and the set U
 of square columns whose arrow sits in a lower row, so the state after each
 row is a map U -> accumulated value.  Row i moves U to U | S for each set S
-of unused square columns, times one term per last label of S, read from
-``combinatorics.reading_stats`` (the particle columns not in U).  At the
+of unused square columns, times one term per last label of S, summed by
+``combinatorics.reading_sum`` (the particle columns not in U).  At the
 end |U| is the arrow count a, and body a takes the factorial ratio
 [r+l-a]!/[r+l]! = (1-t)^a / prod_{r+l-a<j<=r+l} (1 - q t^j) over the common
 denominator prod_{r+l-A<j<=r+l}, A the largest a: the sum stays integral and
@@ -15,8 +15,9 @@ divides once.  P_lambda runs the DP once per word of its sector (all share
 r+l) into one map a -> body.  The partition function needs no tableaux: it
 is the product C(n, r+l) C(n, l).
 
-The sums run in the rings of ``algebra.rings`` from their first term to
-one division, which the stationary law's integer Z joins.  Tab_t packs each
+The sums run in the rings of ``algebra.rings`` from their first term, and
+each DP from the empty product (None; an empty S passes a value on), to one
+division, which the stationary law's integer Z joins.  Tab_t packs each
 polynomial in t into one int, with a width proved by counting.  ``wt_qtx`` and
 ``wt_t`` follow the definition, a sum over the orderings.  This module holds
 the tableau sums alone: it imports no oracle, and no oracle imports it.
@@ -43,36 +44,20 @@ from .combinatorics import (
     disorder,
     enumerate_orderings,
     enumerate_states,
-    reading_stats,
+    reading_sum,
     recoils,
     row_reading,
 )
 
 
-def _fixed_exps(diagram: Diagram, used) -> list[int]:
-    """x_i for each particle position, and once more for each square
-    column without an arrow (not in ``used``)."""
-    exps = [1 if a else 0 for a in diagram.word.letters]
+def _fixed_exps(diagram: Diagram, used) -> dict[int, int]:
+    """{i - 1: the power of x_i}: x_i for each particle position, and once
+    more for each square column without an arrow (not in ``used``)."""
+    exps = {i: 1 for i, a in enumerate(diagram.word.letters) if a}
     for c in diagram.square_cols:
         if c not in used:
             exps[c - 1] += 1
     return exps
-
-
-def _row_factor(diagram: Diagram, d: int, cols, universe, term):
-    """Sum over the label orders of the arrows in ``cols`` of one row
-    labeled d, whose readable columns are ``universe``: q^rec t^dis x_d
-    x_{every arrow but the last labeled}, one term per last label."""
-    total = None
-    for last, coeff in reading_stats(cols, universe, d):
-        exps = [0] * diagram.word.n
-        exps[d - 1] = 1
-        for c in cols:
-            exps[c - 1] += 1
-        exps[last - 1] -= 1
-        v = term(coeff, exps)
-        total = v if total is None else total + v
-    return total
 
 
 def _tableau_sum(diagrams: list[Diagram], ring: Ring):
@@ -82,27 +67,29 @@ def _tableau_sum(diagrams: list[Diagram], ring: Ring):
     by_arr: dict[int, object] = {}
     for diagram in diagrams:
         ea = diagram.word.ea()
-        states = {frozenset(): ring.term(MultiPoly.one(), ())}
+        states = {frozenset(): None}  # the arrow columns so far -> their sum; None is the empty product
         for i in range(1, diagram.k + 1):
             d = diagram.row_label(i)
-            after: dict[frozenset, object] = {}
+            after = dict(states)  # a row without arrows reads no labels: it passes each value on
             for used, value in states.items():
                 # the row reads every particle column but those with an arrow below
                 universe = [c for c in ea if c not in used]
                 free = [c for c in diagram.square_cols if c not in used]
-                for size in range(len(free) + 1):
+                for size in range(1, len(free) + 1):
                     for cols in itertools.combinations(free, size):
-                        # a row without arrows reads no labels: its factor is 1
-                        v = value * _row_factor(diagram, d, cols, universe, ring.term) if cols else value
+                        # q^rec t^dis x_d x_{every arrow but the last labeled}
+                        v = reading_sum(ring.term, cols, universe, d, {c - 1: 1 for c in (d, *cols)})
+                        v = v if value is None else value * v
                         key = used.union(cols)
                         after[key] = after[key] + v if key in after else v
             states = after
         for used, value in states.items():
-            v = value * ring.term(MultiPoly.one(), _fixed_exps(diagram, used))
+            v = ring.term(MultiPoly.one(), _fixed_exps(diagram, used))
+            v = v if value is None else value * v
             a = len(used)
             by_arr[a] = by_arr[a] + v if a in by_arr else v
     rl, top = diagrams[0].word.r + diagrams[0].word.l, max(by_arr)
-    total = reduce(add, [body * ring.factor(a, rl - top, rl - a) for a, body in by_arr.items()])
+    total = reduce(add, [body * ring.factor(a, rl - top, rl - a) for a, body in by_arr.items()]) if top else by_arr[0]
     return ring.divide(total, rl - top, rl)
 
 
@@ -116,7 +103,7 @@ def wt_x(tableau: Tableau, ordering: ArrowOrdering) -> QtxExpr:
         order = ordering.row_order(i)
         if not order:
             continue
-        exps[diagram.row_label(i) - 1] += 1  # the row-maximal arrow
+        exps[diagram.row_label(i) - 1] = 1  # the row-maximal arrow: x_d, d a 0 of the word
         for c in order[:-1]:
             exps[c - 1] += 1
     return QtxExpr.x_monomial(exps)

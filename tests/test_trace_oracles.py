@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from crtasep import combinatorics
 from crtasep.algebra import MultiPoly, QtxExpr, RatFunc, parse, poly_gcd, qt_factorial_ratio, qtx, ratfunc
 from crtasep.algebra.ratfunc import qt_factor
-from crtasep.algebra.rings import SYMBOLIC
+from crtasep.algebra.rings import SYMBOLIC, Ring, point_ring
 from crtasep.combinatorics import Word, build_diagram
 from crtasep.errors import DivergenceError, NoConvergence, PoleError, RelationViolation
 from crtasep.oracles.matrices import (
@@ -211,6 +212,54 @@ def test_kernel_sums_coerce_no_int(monkeypatch):
             if mu.is_partition():
                 macdonald_P(mu)
     assert len(ints) == 0
+
+
+class _Counted:
+    """A point-ring value that reports the operands of each product to ``seen``."""
+
+    def __init__(self, value, seen):
+        self.value, self.seen = value, seen
+
+    def __add__(self, other):
+        return _Counted(self.value + other.value, self.seen)
+
+    def __mul__(self, other):
+        self.seen(self.value, other.value)
+        return _Counted(self.value * other.value, self.seen)
+
+
+def test_exact_kernels_do_no_work_on_the_identity(monkeypatch):
+    # over a point ring that counts: both kernels read the reading table only
+    # for a nonempty set of arrows or removed 2s, and do so when the word has
+    # a 0 and a 2; the trace makes a term only there (one per last label) and
+    # for at most one base term per set U of removed 2s; and neither kernel
+    # multiplies by a value equal to 1 (the point is generic, so no value is
+    # 1 by accident)
+    q0, t0 = Fraction(2, 7), Fraction(3, 11)
+    xs = (Fraction(5, 13), Fraction(7, 17), Fraction(11, 19), Fraction(13, 23), Fraction(17, 29))
+    labels, terms, ones = [], [], []
+    reading_stats = combinatorics.reading_stats  # as ``reading_sum`` reads it, for both kernels
+    monkeypatch.setattr(combinatorics, "reading_stats", lambda cols, *rest: labels.append(cols) or reading_stats(cols, *rest))
+    for n in range(1, 6):
+        base = point_ring(q0, t0, xs[:n], n)
+        is_one = lambda v: base.divide(v, 0, 0) == 1  # over the empty bracket product
+        assert is_one(base.term(MultiPoly.one(), {})) and is_one(base.factor(0, n, n))
+        seen = lambda *operands: ones.extend(filter(is_one, operands))
+        ring = Ring(
+            lambda coeff, exps: terms.append(exps) or _Counted(base.term(coeff, exps), seen),
+            lambda *key: _Counted(base.factor(*key), seen),
+            lambda value, lo, hi: base.divide(value.value, lo, hi),
+        )
+        for letters in itertools.product((0, 1, 2), repeat=n):
+            mu, point = Word(letters), (q0, t0, xs[:n])
+            labels.clear(), terms.clear()
+            assert recurrence._answer(mu, "max", ring) == trace_rec_eval(mu, *point), mu
+            assert all(labels) and bool(labels) == bool(mu.k and mu.l), mu
+            assert len(terms) - sum(map(len, labels)) <= 2**mu.l, mu
+            labels.clear()
+            assert _tableau_sum([build_diagram(mu)], ring) == tab_qtx_eval(mu, *point), mu
+            assert all(labels) and bool(labels) == bool(mu.k and mu.l), mu
+            assert not ones, mu
 
 
 def test_recurrence_retains_nothing_between_calls():

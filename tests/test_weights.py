@@ -338,9 +338,9 @@ def test_point_ring_caches_the_value_of_each_coefficient(coeff, q0, t0):
     ring = point_ring(q0, t0, (Fraction(3, 2), Fraction(-2)), 2)
     value = lambda exps: ring.divide(ring.term(coeff, exps), 0, 0)  # over an empty bracket product
     want = coeff.evaluate(q0, t0)
-    assert value((0, 0)) == want
-    assert value((2, 1)) == want * Fraction(9, 4) * -2  # from the cache
-    assert value((0, 0)) == want
+    assert value({}) == want
+    assert value({0: 2, 1: 1}) == want * Fraction(9, 4) * -2  # from the cache
+    assert value({}) == want
 
 
 def test_scaled_sums_and_products_are_those_of_fractions():
