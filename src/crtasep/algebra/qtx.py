@@ -22,12 +22,7 @@ from .poly import Arithmetic, MultiPoly
 from .ratfunc import RatFunc
 
 
-def _trim(xs: Iterable[int] | dict[int, int]) -> tuple[int, ...]:
-    if isinstance(xs, dict):  # {index: exponent}
-        dense = [0] * (max(xs, default=-1) + 1)
-        for i, e in xs.items():
-            dense[i] = e
-        xs = dense
+def _trim(xs: Iterable[int]) -> tuple[int, ...]:
     xs = tuple(xs)
     end = len(xs)
     while end and xs[end - 1] == 0:
@@ -78,11 +73,15 @@ class QtxExpr(Arithmetic):
         return QtxExpr({(): r})
 
     @staticmethod
-    def x_monomial(xs: Iterable[int] | dict[int, int], coeff: RatFunc | MultiPoly | None = None) -> "QtxExpr":
+    def x_monomial(xs: Iterable[int], coeff: RatFunc | MultiPoly | None = None) -> "QtxExpr":
         if coeff is None:
             coeff = RatFunc.one()
-        out = QtxExpr.__new__(QtxExpr)
-        out.coeffs = {} if coeff.is_zero() else {_trim(xs): coeff}
+        return QtxExpr._of({} if coeff.is_zero() else {_trim(xs): coeff})
+
+    @staticmethod
+    def _of(coeffs: dict) -> "QtxExpr":
+        out = QtxExpr.__new__(QtxExpr)  # coeffs as they are: trimmed keys, nonzero values
+        out.coeffs = coeffs
         return out
 
     # -- structure --------------------------------------------------------
@@ -149,16 +148,12 @@ class QtxExpr(Arithmetic):
                 coeffs.pop(xs, None)
             else:
                 coeffs[xs] = s
-        out = QtxExpr.__new__(QtxExpr)
-        out.coeffs = coeffs
-        return out
+        return QtxExpr._of(coeffs)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QtxExpr":
-        out = QtxExpr.__new__(QtxExpr)
-        out.coeffs = {xs: -c for xs, c in self.coeffs.items()}
-        return out
+        return QtxExpr._of({xs: -c for xs, c in self.coeffs.items()})
 
     def __mul__(self, other) -> "QtxExpr":
         if type(other) is not QtxExpr:
@@ -167,17 +162,14 @@ class QtxExpr(Arithmetic):
                 return NotImplemented
         if not self.coeffs or not other.coeffs:
             return QtxExpr()
-        out = QtxExpr.__new__(QtxExpr)
         # times one monomial: distinct keys stay distinct, and no product of
         # nonzero coefficients is zero
         if len(other.coeffs) == 1:
             ((xb, cb),) = other.coeffs.items()
-            out.coeffs = {_mul_xs(xa, xb): ca * cb for xa, ca in self.coeffs.items()}
-            return out
+            return QtxExpr._of({_mul_xs(xa, xb): ca * cb for xa, ca in self.coeffs.items()})
         if len(self.coeffs) == 1:
             ((xa, ca),) = self.coeffs.items()
-            out.coeffs = {_mul_xs(xa, xb): ca * cb for xb, cb in other.coeffs.items()}
-            return out
+            return QtxExpr._of({_mul_xs(xa, xb): ca * cb for xb, cb in other.coeffs.items()})
         coeffs: dict[tuple[int, ...], RatFunc] = {}
         for xa, ca in self.coeffs.items():
             for xb, cb in other.coeffs.items():
@@ -189,8 +181,7 @@ class QtxExpr(Arithmetic):
                     coeffs.pop(key, None)
                 else:
                     coeffs[key] = s
-        out.coeffs = coeffs
-        return out
+        return QtxExpr._of(coeffs)
 
     __rmul__ = __mul__
 

@@ -1,26 +1,26 @@
 """The coefficient rings in which the tableau sums (``weights``) and the
 trace recurrence (``oracles.recurrence``) are each written once; algebra
-alone, so the oracles need nothing of the sums they check.  A ``Ring`` is
-(term, factor, divide): ``SYMBOLIC`` keeps each Z[q, t] coefficient and
-divides it by the brackets prod_{lo<j<=hi} (1 - q t^j) one at a time
-(``divide_by_brackets``, no gcd: the brackets are distinct and irreducible),
-``t_ring(B)`` sets q = 1 and holds a polynomial p in t as the int p(2^B);
-``tab_t`` proves by counting, as arrows take distinct square columns, that
-no coefficient passes sum_{s<=l} C(l,s) s! C(s+k-1,k-1) (r+l-s)! < 2^B
-(22 bits at most for n <= 10).  Its ``factor(a, lo, hi)`` is
-prod_{lo<j<=hi} [j]_t, ``qt_factor`` at q = 1 over (1 - t)^(a + hi - lo),
-and ``divide`` drops (1 - t)^(hi - lo): every term of a tableau sum has
-a + hi - lo = top, divide's hi - lo, so the powers cancel and every value
-keeps nonnegative coefficients.  ``divide`` needs no gcd either: prod [j]_t
-is prod_d Phi_d^(m_d), m_d the multiples of d in (lo, hi], over distinct
-monic irreducible cyclotomic polynomials, so the gcd is the Phi_d^(e_d),
-e_d <= m_d the times Phi_d divides the sum N.  It reads N's base-2^B digits
-into a list once and tests each Phi_d by a fold of that list
-(``_cyclotomic_divide``).  The fold adds digits: on the packed int they
-could carry past 2^B unless N(1) < 2^B, where on the list the ring needs
-only what it needs anyway, each coefficient below 2^B.  ``point_ring``
-values each coefficient at one exact point in scaled integers, up to the
-one ``Fraction`` that ``divide`` makes.
+alone, so the oracles need nothing of the sums they check.  An x-monomial
+is one int, x_i's exponent in the ``X_WIDTH`` bits at X_WIDTH (i - 1).  No
+exponent either kernel builds passes 2, so no field carries: a 0 labels
+one row and a square column has at most one arrow on top of its own x_i;
+in the trace each 0 is peeled once and a 2 removed once (x_c^2) or kept in
+the base.  A ``Ring`` is (row, base, factor, divide): ``row(entry, labels,
+x)`` is sum_c G_c x / x_c over a row's last labels c (``entry`` G's
+polynomials, ``labels`` the x_c), x = x_d prod x_c in a tableau row and
+x_d prod x_c^2 in a trace removal; ``base`` prices a monomial, or is None
+where every monomial is 1.  ``SYMBOLIC`` decodes x along its nonzero
+fields to QtxExpr's trimmed tuple and divides each Z[q, t] coefficient by
+the brackets prod_{lo<j<=hi} (1 - q t^j) one at a time
+(``divide_by_brackets``, no gcd: they are distinct and irreducible).
+``t_ring(B)`` sets q = 1 and x = 1, holds a polynomial p in t as the int
+p(2^B) (``tab_t`` bounds B by counting), packs a row's whole entry once per
+(entry, B), has no base, and its ``factor(a, lo, hi)``, prod [j]_t, is
+``qt_factor`` at q = 1 over (1 - t)^(a + hi - lo): every tableau term has
+a + hi - lo = ``divide``'s hi - lo, and ``divide`` reads N's base-2^B
+digits and removes prod [j]_t's cyclotomic factors with no gcd.
+``point_ring`` values each coefficient once, and each monomial along its
+nonzero fields, in scaled integers up to the one ``Fraction`` of ``divide``.
 """
 
 from __future__ import annotations
@@ -36,22 +36,46 @@ from .qtx import QtxExpr
 from .ratfunc import RatFunc, divide_by_brackets, qt_factor
 
 
+X_WIDTH = 2  # bits per x field: every exponent is at most 2
+
+
+def x_of(c: int) -> int:
+    return 1 << X_WIDTH * (c - 1)  # x_c as a packed monomial
+
+
 class Ring(NamedTuple):
     """The coefficient ring of a tableau or trace sum; ``divide`` runs once per sum."""
 
-    term: Callable  # (coefficient in Z[q, t], {index from 0: x exponent}) -> coefficient x^exponents
+    row: Callable  # (G's entry, (x_c, ...), x) -> sum_c G_c x / x_c, each list by c ascending
+    base: Callable | None  # x -> x in the ring, or None where every x-monomial is 1
     factor: Callable  # (a, lo, hi) -> qt_factor(a, lo, hi) = (1 - t)^a prod_{lo<j<=hi} (1 - q t^j)
     divide: Callable  # (value, lo, hi) -> value / qt_factor(0, lo, hi), in the ring of the answer
 
 
+# keys: the x-monomials of the symbolic sums (674 over a qtx-symbolic pass, which
+# hits this cache 5,379 times in 6,413; more entries raise its peak memory)
+@lru_cache(maxsize=64)
+def _x_tuple(x: int) -> tuple[int, ...]:
+    """QtxExpr's trimmed exponent tuple of x, read along its nonzero fields."""
+    exps = [0] * -(-x.bit_length() // X_WIDTH)
+    while x:
+        i = (x.bit_length() - 1) // X_WIDTH
+        exps[i] = x >> X_WIDTH * i
+        x ^= exps[i] << X_WIDTH * i
+    return tuple(exps)
+
+
 SYMBOLIC = Ring(
-    lambda coeff, exps: QtxExpr.x_monomial(exps, coeff),
+    # the x / x_c are distinct and each G_c nonzero: one key per label
+    lambda entry, labels, x: QtxExpr._of({_x_tuple(x - c): g for c, g in zip(labels, entry)}),
+    lambda x: QtxExpr._of({_x_tuple(x): MultiPoly.one()}),
     lambda a, lo, hi: QtxExpr.x_monomial((), qt_factor(a, lo, hi)),
     lambda value, lo, hi: QtxExpr({xs: divide_by_brackets(c, lo, hi) for xs, c in value.coeffs.items()}),
 )
 
-# keys: G's interned polynomials with a width (a few hundred in a law-sweep pass)
-_pack = lru_cache(maxsize=4096)(lambda p, width: sum(c << width * et for (_, et), c in p.terms.items()))
+
+# G's entry at q = 1, packed; keys: entries with a width (66 over a law-sweep pass)
+_packed_row = lru_cache(maxsize=4096)(lambda entry, w: sum(c << w * et for g in entry for (_, et), c in g.terms.items()))
 
 
 def _divmod_monic(p: list[int], m: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -116,7 +140,8 @@ def t_ring(width: int) -> Ring:
         return _cyclotomic_divide(digits, lo, hi)
 
     return Ring(
-        lambda coeff, exps: _pack(coeff, width),
+        lambda entry, labels, x: _packed_row(entry, width),
+        None,
         lambda a, lo, hi: prod(((1 << width * j) - 1) // unit for j in range(lo + 1, hi + 1)),
         divide,
     )
@@ -164,20 +189,28 @@ def point_ring(q0, t0, xs, n: int) -> Ring:
         raise ValueError(f"need {n} x-values")
     L = lcm(q0.denominator, t0.denominator, *(x.denominator for x in xs))
     Q, T, *X = (v.numerator * (L // v.denominator) for v in (q0, t0, *xs))
-    # the powers of L, each coefficient's value and each factor are made
-    # once, in tables freed with the ring
+    # the powers of L, each coefficient's value and each factor are made once,
+    # in tables freed with the ring; a monomial is not (most occur once)
     power = _Table(L.__pow__)
     values = _Table(lambda coeff: coeff.scaled_value(Q, L, T, L))
 
-    def term(coeff, exps) -> _Scaled:
-        v, dq, dt = values[coeff]  # c q^i t^j = c Q^i T^j L^(D-i-j) / L^D, D = dq + dt
-        k = dq + dt
-        # exponents are never negative (x_last cancels x_d or an x_i^2)
-        for i, e in exps.items():
-            if e:
-                v *= X[i] ** e
-                k += e
-        return _Scaled(v, k, power)
+    def monomial(x: int) -> tuple[int, int]:
+        v, k = 1, 0  # prod X_i^e / L^k, along x's nonzero fields, the highest first
+        while x:
+            i = (x.bit_length() - 1) // X_WIDTH
+            e = x >> X_WIDTH * i
+            x ^= e << X_WIDTH * i
+            v, k = v * X[i] ** e, k + e
+        return v, k
+
+    def row(entry, labels, x) -> _Scaled:
+        total = None
+        for c, coeff in zip(labels, entry):
+            v, dq, dt = values[coeff]  # c q^i t^j = c Q^i T^j L^(D-i-j) / L^D, D = dq + dt
+            m, e = monomial(x - c)
+            term = _Scaled(v * m, dq + dt + e, power)
+            total = term if total is None else total + term
+        return total
 
     def make_factor(key: tuple[int, int, int]) -> _Scaled:
         # 1 - t0 = (L - T) / L and 1 - q0 t0^j = (L^(j+1) - Q T^j) / L^(j+1)
@@ -194,4 +227,4 @@ def point_ring(q0, t0, xs, n: int) -> Ring:
         d = den.k - value.k
         return Fraction(value.v * power[d], den.v) if d >= 0 else Fraction(value.v, den.v * power[-d])
 
-    return Ring(term, lambda *key: factors[key], divide)
+    return Ring(row, lambda x: _Scaled(*monomial(x), power), lambda *key: factors[key], divide)

@@ -15,9 +15,8 @@ Conventions, fixed once and used by every weight formula:
   their order label, rhombic tiles and free square tiles by a star, and
   empty square tiles with an arrow strictly below are omitted.  One builder,
   ``partial_perms``, makes every reading (``row_reading`` and the tests use
-  it); both kernels sum one term per last label with ``reading_sum`` over
-  ``reading_stats``, a table G filled once per layout by a placement DP
-  that enumerates no orders.
+  it).  Both kernels price each row by ``row_step`` from a table G, filled
+  once per layout by a placement DP that enumerates no orders.
 """
 
 from __future__ import annotations
@@ -368,32 +367,41 @@ _INTERNED = {MultiPoly.one(): MultiPoly.one()}  # equal polynomials of G share o
 # (tuples here are built from lists, not generators: see the free-list note in ``algebra.poly``)
 
 
-def reading_stats(labels: Sequence[int], universe: Sequence[int], d: int):
-    """(c, the sum of q^rec t^dis over the orders of ``partial_perms(labels,
-    universe, d)`` that end in c) for each label c ascending; (None, 1) if none.
-    A missing entry is filled by ``_placements``: with s labels, about
-    s^2 2^s DP steps, each over the statistics kept so far, not s! orders."""
-    labels = sorted(labels)
-    key = (len(universe) + 1, bisect_left(universe, d), *[bisect_left(universe, c) + (c > d) for c in labels])
-    entry = _READING_STATS.get(key)
+def reading_table(layout: tuple[int, ...]) -> tuple:
+    """G's entry, filled if missing by ``_placements`` in s^2 2^s steps, not s! orders."""
+    entry = _READING_STATS.get(layout)
     if entry is None:
-        entry = tuple([MultiPoly(g) for g in _placements(*key)])
+        entry = tuple([MultiPoly(g) for g in _placements(*layout)])
         if len(_READING_STATS) < READING_STATS_CAP:
-            entry = _READING_STATS[key] = tuple([_INTERNED.setdefault(p, p) for p in entry])
-    return zip(labels or (None,), entry)
+            entry = _READING_STATS[layout] = tuple([_INTERNED.setdefault(p, p) for p in entry])
+    return entry
 
 
-def reading_sum(term, labels: Sequence[int], universe: Sequence[int], d: int, exps: dict[int, int]):
-    """The sum over ``reading_stats(labels, universe, d)`` of term(q^rec
-    t^dis, exps less one power of x_last), one term per last label c in
-    ``labels`` (nonempty); ``exps`` ({c - 1: the power of x_c}) is restored."""
-    total = None
-    for last, coeff in reading_stats(labels, universe, d):
-        exps[last - 1] -= 1
-        v = term(coeff, exps)
-        exps[last - 1] += 1
-        total = v if total is None else total + v
-    return total
+def row_step(states: dict, columns: Sequence[tuple[int, int, bool]], d: int, xd: int, power: int, row) -> dict:
+    """A tableau row (power 1) or trace peel (power 2) at the 0 d on {U, the
+    x_c of the 2s taken: sum}, ``columns`` (c, x_c, c is a 2) per particle: a
+    nonempty S of the 2s outside U sends U to U x_S times row(G's entry, S's
+    x_c, x_d x_S^power).  Per U d's rank and each free 2's slot are found once."""
+    after = dict(states)
+    for used, value in states.items():
+        slots, labels, rank, below = [], [], 0, 0
+        for c, xc, square in columns:
+            if used & xc:
+                continue  # a 2 taken below: not in the reading
+            if square:
+                slots.append(rank + (c > d))
+                labels.append(xc)
+            below += c < d
+            rank += 1
+        head = (rank + 1, below)
+        for size in range(1, len(slots) + 1):
+            for layout, xcs in zip(itertools.combinations(slots, size), itertools.combinations(labels, size)):
+                xs, layout = sum(xcs), head + layout
+                v = row(_READING_STATS.get(layout) or reading_table(layout), xcs, xd + power * xs)
+                v = v if value is None else value * v
+                key = used + xs
+                after[key] = after[key] + v if key in after else v
+    return after
 
 
 def _placements(m: int, zero: int, *slots: int) -> list[dict[tuple[int, int], int]]:

@@ -17,22 +17,21 @@ the zeros peeled and U, the 2s removed, so N(mu) unrolls into a sum over
 chains {} = U_0 <= ... <= U_k (k zeros) of the steps' acc(I), I = U_j minus
 U_{j-1}, times U_k's base term, whose factor takes their (1 - t)^|I| once, as
 (1 - t)^|U_k|.  ``_trace`` sums it forward, one layer {U: the sum over chains
-ending in U} at a time; an empty I (acc = 1) passes each chain sum on to the
-same U with no reading, term or product.  Over a ``Ring`` of ``algebra.rings``
-(``SYMBOLIC`` or ``point_ring``), each nonempty I gives one term per last
-deleted position, summed by ``combinatorics.reading_sum`` as a row is; sums
-start from their first term and products from the empty one.  ``omega``
-normalises the trace in ``f_mu``; this reads nothing of ``weights``.
+ending in U} at a time, U the packed product of its x_c; an empty I (acc =
+1) passes each chain sum on to the same U with no reading, row or product.
+Over a ``Ring`` of ``algebra.rings``, each nonempty I is a subset of one
+``combinatorics.row_step``, as in a tableau row, with x = x_d x_I^2, and the
+base term is x^mu / U^2.  ``omega`` normalises the trace in ``f_mu``; this
+reads nothing of ``weights``.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from ..algebra import MultiPoly, QtxExpr, RatFunc
-from ..algebra.rings import SYMBOLIC, Ring, point_ring
-from ..combinatorics import Word, reading_sum
+from ..algebra.rings import SYMBOLIC, Ring, point_ring, x_of
+from ..combinatorics import Word, row_step
 
 # Never filled (the pass keeps nothing between calls); bench/child.py and bench/layers.py read it.
 _SYMBOLIC_CACHE: dict = {}
@@ -62,29 +61,19 @@ def trace_rec_eval(mu: Word, q0, t0, xs, d_strategy: str = "max") -> Fraction:
 
 def _trace(mu: Word, strategy: str, ring: Ring):
     """N(mu): the chain sums over U peel by peel, then over the base terms."""
-    positions = list(enumerate(mu.letters, start=1))
-    zeros, nonzero, twos = ([c for c, a in positions if a in kind] for kind in ((0,), (1, 2), (2,)))
-    layer = {0: None}  # U as a bitmask over labels -> its chains' sum; None is the empty chain's 1
+    columns = [(c, x_of(c), a == 2) for c, a in enumerate(mu.letters, start=1) if a]
+    zeros = mu.positions_of(0)
+    layer = {0: None}  # U as the product of its x_c -> its chains' sum; None is the empty chain's 1
     for d in reversed(zeros) if strategy == "max" else zeros:
-        following = dict(layer)  # removing no 2 passes each chain sum on unchanged
-        for removed, chains in layer.items():
-            universe = [c for c in nonzero if not removed >> c & 1]
-            free = [c for c in twos if not removed >> c & 1]
-            for s in range(1, len(free) + 1):
-                for subset in itertools.combinations(free, s):
-                    exps, key = {d - 1: 1}, removed
-                    for c in subset:
-                        exps[c - 1], key = 2, key | 1 << c
-                    acc = reading_sum(ring.term, subset, universe, d, exps)  # per last deleted position
-                    v = acc if chains is None else chains * acc
-                    following[key] = following[key] + v if key in following else v
-        layer = following
+        layer = row_step(layer, columns, d, x_of(d), 2, ring.row)
+    full = sum(xc << square for _, xc, square in columns)  # x^mu
     total = None
     for removed, chains in layer.items():
-        exps = {c - 1: a for c, a in positions if a and not removed >> c & 1}
-        v = ring.term(MultiPoly.one(), exps) if exps or not mu.l else None
+        x = full - 2 * removed  # x^mu less the removed 2s
+        v = ring.base(x) if x or not mu.l else None
         if mu.l:  # else U is empty, r + l = r, and the factor is 1
-            f = ring.factor(removed.bit_count(), mu.r, len(exps))
+            u = removed.bit_count()
+            f = ring.factor(u, mu.r, mu.r + mu.l - u)
             v = f if v is None else v * f
         v = v if chains is None else chains * v
         total = v if total is None else total + v

@@ -5,10 +5,11 @@ Macdonald polynomials E and P for partitions with parts at most 2.
 Every tableau sum is one bottom-to-top DP over rows.  A row's reading
 depends only on its label, its arrow columns in label order, and the set U
 of square columns whose arrow sits in a lower row, so the state after each
-row is a map U -> accumulated value.  Row i moves U to U | S for each set S
-of unused square columns, times one term per last label of S, summed by
-``combinatorics.reading_sum`` (the particle columns not in U).  At the
-end |U| is the arrow count a, and body a takes the factorial ratio
+row is a map U (the packed product of its x_c) -> accumulated value.  Row d
+moves U to U x_S for each nonempty set S of unused square columns, times
+the ring's price sum_c G_c x_d x_S / x_c (``combinatorics.row_step``).  At
+the end the x-monomial is x^mu / U, |U| the arrow count a, and body a takes
+the factorial ratio
 [r+l-a]!/[r+l]! = (1-t)^a / prod_{r+l-a<j<=r+l} (1 - q t^j) over the common
 denominator prod_{r+l-A<j<=r+l}, A the largest a: the sum stays integral and
 divides once.  P_lambda runs the DP once per word of its sector (all share
@@ -18,14 +19,13 @@ is the product C(n, r+l) C(n, l).
 The sums run in the rings of ``algebra.rings`` from their first term, and
 each DP from the empty product (None; an empty S passes a value on), to one
 division, which the stationary law's integer Z joins.  Tab_t packs each
-polynomial in t into one int, with a width proved by counting.  ``wt_qtx`` and
-``wt_t`` follow the definition, a sum over the orderings.  This module holds
+polynomial in t into one int, with a width proved by counting, and prices
+no x.  ``wt_qtx`` and ``wt_t`` follow the definition.  This module holds
 the tableau sums alone: it imports no oracle, and no oracle imports it.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial, gcd
@@ -34,61 +34,39 @@ from operator import add
 from .algebra.poly import MultiPoly
 from .algebra.qtx import QtxExpr
 from .algebra.ratfunc import RatFunc, qt_factorial_ratio
-from .algebra.rings import SYMBOLIC, Ring, point_ring, t_ring
+from .algebra.rings import SYMBOLIC, Ring, point_ring, t_ring, x_of
 from .combinatorics import (
     ArrowOrdering,
-    Diagram,
     Tableau,
     Word,
-    build_diagram,
     disorder,
     enumerate_orderings,
     enumerate_states,
-    reading_sum,
     recoils,
     row_reading,
+    row_step,
 )
 
 
-def _fixed_exps(diagram: Diagram, used) -> dict[int, int]:
-    """{i - 1: the power of x_i}: x_i for each particle position, and once
-    more for each square column without an arrow (not in ``used``)."""
-    exps = {i: 1 for i, a in enumerate(diagram.word.letters) if a}
-    for c in diagram.square_cols:
-        if c not in used:
-            exps[c - 1] += 1
-    return exps
-
-
-def _tableau_sum(diagrams: list[Diagram], ring: Ring):
-    """The sum of weights over every tableau of the diagrams, which share
-    one r + l, in the ring: one row-subset DP per diagram into one map from
-    arrow count to body, summed over one denominator and divided once."""
+def _tableau_sum(words: list[Word], ring: Ring):
+    """The sum of weights over every tableau of the words (one r + l) in the ring:
+    one row DP per word into one map arrow count -> body, divided once."""
     by_arr: dict[int, object] = {}
-    for diagram in diagrams:
-        ea = diagram.word.ea()
-        states = {frozenset(): None}  # the arrow columns so far -> their sum; None is the empty product
-        for i in range(1, diagram.k + 1):
-            d = diagram.row_label(i)
-            after = dict(states)  # a row without arrows reads no labels: it passes each value on
-            for used, value in states.items():
-                # the row reads every particle column but those with an arrow below
-                universe = [c for c in ea if c not in used]
-                free = [c for c in diagram.square_cols if c not in used]
-                for size in range(1, len(free) + 1):
-                    for cols in itertools.combinations(free, size):
-                        # q^rec t^dis x_d x_{every arrow but the last labeled}
-                        v = reading_sum(ring.term, cols, universe, d, {c - 1: 1 for c in (d, *cols)})
-                        v = v if value is None else value * v
-                        key = used.union(cols)
-                        after[key] = after[key] + v if key in after else v
-            states = after
+    for mu in words:
+        columns = [(c, x_of(c), a == 2) for c, a in enumerate(mu.letters, start=1) if a]
+        states = {0: None}  # the product of the arrow columns' x_c so far -> their sum; None is the empty product
+        for d in reversed(mu.positions_of(0)):  # the rows bottom to top
+            states = row_step(states, columns, d, x_of(d), 1, ring.row)
+        full = sum(xc << square for _, xc, square in columns)  # x^mu: x_i per particle, x_c^2 per 2
         for used, value in states.items():
-            v = ring.term(MultiPoly.one(), _fixed_exps(diagram, used))
-            v = v if value is None else value * v
-            a = len(used)
-            by_arr[a] = by_arr[a] + v if a in by_arr else v
-    rl, top = diagrams[0].word.r + diagrams[0].word.l, max(by_arr)
+            if ring.base:  # x^mu over the arrow columns': their x_c is the rows'
+                v = ring.base(full - used)
+                value = v if value is None else value * v
+            elif value is None:
+                value = ring.factor(0, 0, 0)  # the empty product
+            a = used.bit_count()
+            by_arr[a] = by_arr[a] + value if a in by_arr else value
+    rl, top = words[0].r + words[0].l, max(by_arr)
     total = reduce(add, [body * ring.factor(a, rl - top, rl - a) for a, body in by_arr.items()]) if top else by_arr[0]
     return ring.divide(total, rl - top, rl)
 
@@ -98,7 +76,8 @@ def wt_x(tableau: Tableau, ordering: ArrowOrdering) -> QtxExpr:
     row-maximal arrow, x_{column label} for every other arrow and for each
     arrowless square column, times x_i over all particle positions."""
     diagram = tableau.diagram
-    exps = _fixed_exps(diagram, {c for c, _ in tableau.arrows})
+    arrows = {c for c, _ in tableau.arrows}
+    exps = [(a > 0) + (a == 2 and c not in arrows) for c, a in enumerate(diagram.word.letters, start=1)]
     for i in range(1, diagram.k + 1):
         order = ordering.row_order(i)
         if not order:
@@ -130,7 +109,7 @@ def wt_t(tableau: Tableau) -> RatFunc:
 
 def tab_qtx(mu: Word) -> QtxExpr:
     """Sum of qtx-weights over all tableaux of type mu."""
-    return _tableau_sum([build_diagram(mu)], SYMBOLIC)
+    return _tableau_sum([mu], SYMBOLIC)
 
 
 def tab_t(mu: Word) -> RatFunc:
@@ -148,12 +127,12 @@ def tab_t(mu: Word) -> RatFunc:
         bound = sum(comb(mu.l, s) * factorial(s) * comb(s + k - 1, k - 1) * factorial(rl - s) for s in range(mu.l + 1))
     else:
         bound = factorial(rl)
-    return _tableau_sum([build_diagram(mu)], t_ring(bound.bit_length()))
+    return _tableau_sum([mu], t_ring(bound.bit_length()))
 
 
 def tab_qtx_eval(mu: Word, q0, t0, xs) -> Fraction:
     """tab_qtx evaluated at exact rationals without symbolic overhead."""
-    return _tableau_sum([build_diagram(mu)], point_ring(q0, t0, xs, mu.n))
+    return _tableau_sum([mu], point_ring(q0, t0, xs, mu.n))
 
 
 # -- partition function and the stationary law ------------------------------
@@ -205,4 +184,4 @@ def macdonald_P(lam: Word) -> QtxExpr:
     """The symmetric Macdonald polynomial: the tableau sum over all
     distinct rearrangements of the partition."""
     lam.require_partition()
-    return _tableau_sum([build_diagram(mu) for mu in enumerate_states(lam.k, lam.r, lam.l)], SYMBOLIC)
+    return _tableau_sum(enumerate_states(lam.k, lam.r, lam.l), SYMBOLIC)

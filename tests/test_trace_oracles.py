@@ -8,11 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from crtasep import combinatorics
-from crtasep.algebra import MultiPoly, QtxExpr, RatFunc, parse, poly_gcd, qt_factorial_ratio, qtx, ratfunc
+from crtasep.algebra import MultiPoly, QtxExpr, RatFunc, parse, poly_gcd, qt_factorial_ratio, qtx, ratfunc, rings
 from crtasep.algebra.ratfunc import qt_factor
 from crtasep.algebra.rings import SYMBOLIC, Ring, point_ring
-from crtasep.combinatorics import Word, build_diagram
+from crtasep.combinatorics import Word
 from crtasep.errors import DivergenceError, NoConvergence, PoleError, RelationViolation
 from crtasep.oracles.matrices import (
     MAX_SIZE,
@@ -188,7 +187,7 @@ def test_bracket_division_matches_the_gcd_route_on_every_word_to_n5():
     for n in range(1, 6):
         for letters in itertools.product((0, 1, 2), repeat=n):
             mu = Word(letters)
-            assert tab_qtx(mu).coeffs == _tableau_sum([build_diagram(mu)], GCD_SYMBOLIC).coeffs, mu
+            assert tab_qtx(mu).coeffs == _tableau_sum([mu], GCD_SYMBOLIC).coeffs, mu
             assert trace_by_recurrence(mu).coeffs == recurrence._answer(mu, "max", GCD_SYMBOLIC).coeffs, mu
 
 
@@ -228,38 +227,112 @@ class _Counted:
         return _Counted(self.value * other.value, self.seen)
 
 
-def test_exact_kernels_do_no_work_on_the_identity(monkeypatch):
-    # over a point ring that counts: both kernels read the reading table only
-    # for a nonempty set of arrows or removed 2s, and do so when the word has
-    # a 0 and a 2; the trace makes a term only there (one per last label) and
-    # for at most one base term per set U of removed 2s; and neither kernel
-    # multiplies by a value equal to 1 (the point is generic, so no value is
-    # 1 by accident)
+def test_exact_kernels_do_no_work_on_the_identity():
+    # over a point ring that counts: both kernels price a row only for a
+    # nonempty set of arrows or removed 2s, with one entry of the reading
+    # table per label, and do so when the word has a 0 and a 2; the trace
+    # prices at most one base monomial per set U of removed 2s; and neither
+    # kernel multiplies by a value equal to 1 (the point is generic, so no
+    # value is 1 by accident)
     q0, t0 = Fraction(2, 7), Fraction(3, 11)
     xs = (Fraction(5, 13), Fraction(7, 17), Fraction(11, 19), Fraction(13, 23), Fraction(17, 29))
-    labels, terms, ones = [], [], []
-    reading_stats = combinatorics.reading_stats  # as ``reading_sum`` reads it, for both kernels
-    monkeypatch.setattr(combinatorics, "reading_stats", lambda cols, *rest: labels.append(cols) or reading_stats(cols, *rest))
+    labels, bases, ones = [], [], []
     for n in range(1, 6):
         base = point_ring(q0, t0, xs[:n], n)
         is_one = lambda v: base.divide(v, 0, 0) == 1  # over the empty bracket product
-        assert is_one(base.term(MultiPoly.one(), {})) and is_one(base.factor(0, n, n))
+        assert is_one(base.base(0)) and is_one(base.factor(0, n, n))
         seen = lambda *operands: ones.extend(filter(is_one, operands))
         ring = Ring(
-            lambda coeff, exps: terms.append(exps) or _Counted(base.term(coeff, exps), seen),
+            lambda entry, cols, x: labels.append(len(entry) == len(cols) and cols) or _Counted(base.row(entry, cols, x), seen),
+            lambda x: bases.append(x) or _Counted(base.base(x), seen),
             lambda *key: _Counted(base.factor(*key), seen),
             lambda value, lo, hi: base.divide(value.value, lo, hi),
         )
         for letters in itertools.product((0, 1, 2), repeat=n):
             mu, point = Word(letters), (q0, t0, xs[:n])
-            labels.clear(), terms.clear()
+            labels.clear(), bases.clear()
             assert recurrence._answer(mu, "max", ring) == trace_rec_eval(mu, *point), mu
             assert all(labels) and bool(labels) == bool(mu.k and mu.l), mu
-            assert len(terms) - sum(map(len, labels)) <= 2**mu.l, mu
+            assert len(bases) <= 2**mu.l, mu
             labels.clear()
-            assert _tableau_sum([build_diagram(mu)], ring) == tab_qtx_eval(mu, *point), mu
+            assert _tableau_sum([mu], ring) == tab_qtx_eval(mu, *point), mu
             assert all(labels) and bool(labels) == bool(mu.k and mu.l), mu
             assert not ones, mu
+
+
+def _unpacked(x, n):
+    """A packed monomial's exponents of x_1..x_n, read field by field."""
+    mask = (1 << rings.X_WIDTH) - 1
+    assert x >> rings.X_WIDTH * n == 0, (x, n)
+    return tuple(x >> rings.X_WIDTH * i & mask for i in range(n))
+
+
+def _from_dict(exps, n):
+    return tuple(exps.get(i, 0) for i in range(n))
+
+
+def _row_monomials(d, subset, power, n):
+    """x_d x_S^power / x_c for each c of S, from an exponent dict."""
+    out = []
+    for c in subset:
+        exps = {d - 1: 1, **{e - 1: power for e in subset}}
+        exps[c - 1] -= 1
+        out.append(_from_dict(exps, n))
+    return out
+
+
+def _reference_monomials(mu, power):
+    """Every x-monomial a kernel prices on mu, by the exponent-dict rules:
+    per zero d in kernel order, set U of 2s taken before and nonempty set S
+    of the others, the row's monomials; then, per final U, the tableau's
+    x_i per particle times x_c per 2 without an arrow (power 1), or the
+    trace's x^mu less the removed 2s, when not 1 or l = 0 (power 2)."""
+    n, twos = mu.n, mu.positions_of(2)
+    rows, states = [], {()}
+    for d in reversed(mu.positions_of(0)):
+        following = set(states)
+        for used in states:
+            free = [c for c in twos if c not in used]
+            for size in range(1, len(free) + 1):
+                for subset in itertools.combinations(free, size):
+                    rows += _row_monomials(d, subset, power, n)
+                    following.add(tuple(sorted(used + subset)))
+        states = following
+    bases = []
+    for used in states:
+        if power == 1:
+            exps = {i: 1 for i, a in enumerate(mu.letters) if a}
+            for c in twos:
+                if c not in used:
+                    exps[c - 1] += 1
+        else:
+            exps = {c - 1: a for c, a in enumerate(mu.letters, start=1) if a and c not in used}
+        if power == 1 or exps or not mu.l:
+            bases.append(_from_dict(exps, n))
+    return sorted(rows), sorted(bases)
+
+
+def test_packed_monomials_are_the_exponent_dicts():
+    # on every word with n <= 6, each x-monomial that either kernel hands
+    # the ring, read field by field, is the one the exponent-dict rules
+    # build (as ``wt_x`` does), and no exponent passes 2, so no field carries
+    # (a field one bit narrower carries a 2 into x_{i+1}); the word deeper
+    # than the recursion limit keeps the trace identity in the test below
+    for n in range(1, 7):
+        for letters in itertools.product((0, 1, 2), repeat=n):
+            mu = Word(letters)
+            for power, kernel in ((1, lambda ring: _tableau_sum([mu], ring)), (2, lambda ring: recurrence._trace(mu, "max", ring))):
+                rows, bases = [], []
+
+                def row(entry, labels, x):
+                    assert sorted(labels) == list(labels) and all(sum(_unpacked(c, n)) == 1 for c in labels)
+                    rows.extend(_unpacked(x - c, n) for c in labels)
+                    return SYMBOLIC.row(entry, labels, x)
+
+                ring = SYMBOLIC._replace(row=row, base=lambda x: bases.append(_unpacked(x, n)) or SYMBOLIC.base(x))
+                kernel(ring)
+                assert (sorted(rows), sorted(bases)) == _reference_monomials(mu, power), (mu, power)
+                assert max(max(m, default=0) for m in rows + bases) <= 2, mu
 
 
 def test_recurrence_retains_nothing_between_calls():

@@ -168,10 +168,12 @@ def test_tab_t_at_one(mu):
     assert tab_t(mu).evaluate(1, 1) == want
 
 
-# q = 1 in MultiPoly arithmetic, each factor with its (1 - t)^a: the packed
+# q = 1 in MultiPoly arithmetic, each row's entry summed term by term, each
+# x-monomial priced as 1 and each factor with its (1 - t)^a: the packed
 # t-ring's answers must be this ring's
 T_REFERENCE = Ring(
-    lambda coeff, exps: coeff.subs_q(1),
+    lambda entry, labels, x: sum((g.subs_q(1) for g in entry), MultiPoly.zero()),
+    lambda x: MultiPoly.one(),
     lambda a, lo, hi: qt_factor(a, lo, hi).subs_q(1),
     lambda value, lo, hi: RatFunc(value, qt_factor(0, lo, hi).subs_q(1)),
 )
@@ -191,7 +193,7 @@ def wide_and_sampled_words():
 
 def test_tab_t_matches_the_multipoly_reference_ring():
     for mu in wide_and_sampled_words():
-        assert tab_t(mu) == _tableau_sum([build_diagram(mu)], T_REFERENCE), mu
+        assert tab_t(mu) == _tableau_sum([mu], T_REFERENCE), mu
 
 
 def test_packed_width_must_pass_every_coefficient(monkeypatch):
@@ -204,15 +206,42 @@ def test_packed_width_must_pass_every_coefficient(monkeypatch):
     for text in ("2020202020", "0202020202", "2222200000", "0222222000", "2102120", "221100"):
         mu = W(text)
         want = tab_t(mu)
-        _tableau_sum([build_diagram(mu)], capture)
+        _tableau_sum([mu], capture)
         value, top = sums.pop()
         n_coeffs = poly_divexact(value, (MultiPoly.one() - MultiPoly.t()) ** top).terms.values()
         assert min(n_coeffs) >= 0
         fits = max(n_coeffs).bit_length()
         assert fits <= widths.pop(), text
-        packed = lambda width: _tableau_sum([build_diagram(mu)], t_ring(width))
+        packed = lambda width: _tableau_sum([mu], t_ring(width))
         assert packed(fits) == want
         assert packed(fits - 1) != want, text
+
+
+def test_t_ring_pays_nothing_for_x(monkeypatch):
+    # q = 1 and x = 1: tab_t prices no base monomial, decodes none, and
+    # makes one row lookup per (row, state, subset): (2^l - 1) subsets in
+    # the bottom row, then 3^l - 2^l pairs of a state U and a nonempty
+    # subset of the 2s outside it in each of the k - 1 rows above
+    rows, bases, decoded = [], [], []
+
+    def counted(width):
+        ring = t_ring(width)
+        return ring._replace(
+            row=lambda entry, labels, x: rows.append(labels) or ring.row(entry, labels, x),
+            base=ring.base and (lambda x: bases.append(x) or ring.base(x)),
+        )
+
+    x_tuple = rings._x_tuple
+    monkeypatch.setattr(rings, "_x_tuple", lambda x: decoded.append(x) or x_tuple(x))
+    words = [Word(ls) for n in range(1, 7) for ls in itertools.product((0, 1, 2), repeat=n)]
+    want = [tab_t(mu) for mu in words]
+    monkeypatch.setattr(weights, "t_ring", counted)
+    for mu, value in zip(words, want):
+        rows.clear()
+        assert tab_t(mu) == value, mu
+        k, l = mu.k, mu.l
+        assert len(rows) == (2**l - 1 + (k - 1) * (3**l - 2**l) if k else 0), mu
+    assert bases == [] and decoded == []
 
 
 def gcd_t_ring(width):
@@ -336,11 +365,12 @@ coefficients = st.dictionaries(
 @given(coefficients, st.fractions(min_value=-2, max_value=2, max_denominator=7), st.fractions(max_denominator=7))
 def test_point_ring_caches_the_value_of_each_coefficient(coeff, q0, t0):
     ring = point_ring(q0, t0, (Fraction(3, 2), Fraction(-2)), 2)
-    value = lambda exps: ring.divide(ring.term(coeff, exps), 0, 0)  # over an empty bracket product
+    x2 = rings.x_of(2)  # coeff x / x_2 for a row of one label, x_2, over an empty bracket product
+    value = lambda x: ring.divide(ring.row((coeff,), (x2,), x + x2), 0, 0)
     want = coeff.evaluate(q0, t0)
-    assert value({}) == want
-    assert value({0: 2, 1: 1}) == want * Fraction(9, 4) * -2  # from the cache
-    assert value({}) == want
+    assert value(0) == want
+    assert value(2 * rings.x_of(1) + x2) == want * Fraction(9, 4) * -2  # from the cache
+    assert value(0) == want
 
 
 def test_scaled_sums_and_products_are_those_of_fractions():
